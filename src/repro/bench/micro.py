@@ -515,7 +515,7 @@ class _ScriptedDriver:
         pass
 
 
-def _make_dataplane_host(n_guests: int):
+def _make_dataplane_host(n_guests: int, name: str = "bench0"):
     """One host + ``n_guests`` scripted VMs exercising every kernel mask.
 
     The demand mix covers the shapes the columnar kernels special-case:
@@ -535,7 +535,7 @@ def _make_dataplane_host(n_guests: int):
                            bw_sensitivity=0.8, mpki_min=1.0, mpki_max=9.0)
     io_prof = PerfProfile(base_cpi=1.4, llc_sensitivity=0.1,
                           bw_sensitivity=0.2, mpki_min=0.5, mpki_max=3.0)
-    host = PhysicalHost("bench0", R630, RngRegistry(11))
+    host = PhysicalHost(name, R630, RngRegistry(11))
     vms = []
     for i in range(n_guests):
         vm = VM(f"vm{i:03d}", vcpus=2 + (i % 3))
@@ -562,81 +562,102 @@ def _make_dataplane_host(n_guests: int):
     return host, vms
 
 
+def _dataplane_lockstep(table, slow_hosts, ticks: int) -> None:
+    """Step a table and its scalar twins (``slow_hosts[h]`` mirrors
+    ``table.hosts[h]``); raise on any grant mismatch."""
+    from repro.hardware.host import step_hosts
+
+    for _ in range(ticks):
+        step_hosts(table, 1.0)
+        for h, host in enumerate(slow_hosts):
+            res = host.step_local(1.0)
+            for k in table.slots[h]:
+                g = table.grants[k]
+                s = res.grants[table.names[k]]
+                got = (g.cpu_coresec, g.effective_coresec, g.cpi, g.mpki,
+                       g.read_ops, g.write_ops, g.read_bytes, g.write_bytes,
+                       g.io_wait_ms_per_op, g.mem_bytes)
+                want = (s.cpu_coresec, s.effective_coresec, s.cpi, s.mpki,
+                        s.read_ops, s.write_ops, s.read_bytes, s.write_bytes,
+                        s.io_wait_ms_per_op, s.mem_bytes)
+                if got != want:
+                    raise AssertionError(
+                        f"columnar data plane diverged from scalar oracle on "
+                        f"{table.names[k]}: {got!r} vs {want!r}"
+                    )
+
+
+def _dataplane_ratio(n_hosts: int, n_guests: int, ticks: int, repeat: int,
+                     idle: bool = False) -> Tuple[float, float]:
+    """(table µs/tick, scalar µs/tick) for ``n_hosts`` × ``n_guests``.
+
+    The columnar side steps all hosts through one ``GuestTable``; the
+    scalar side steps identical hosts one ``step_local`` at a time.  A
+    bitwise lockstep pass over fresh twins runs first.
+    """
+    from repro.hardware.host import step_hosts
+    from repro.hardware.resources import ZERO_DEMAND
+    from repro.hardware.table import GuestTable
+
+    def build():
+        fast = [_make_dataplane_host(n_guests, f"bench{h:02d}")
+                for h in range(n_hosts)]
+        slow = [_make_dataplane_host(n_guests, f"bench{h:02d}")
+                for h in range(n_hosts)]
+        if idle:
+            for _, vms in fast + slow:
+                for vm in vms:
+                    vm.attach_workload(
+                        _ScriptedDriver([ZERO_DEMAND], vm.driver.profile))
+        return GuestTable([f for f, _ in fast]), [s for s, _ in slow]
+
+    table, slow_hosts = build()
+    _dataplane_lockstep(table, slow_hosts, 13)
+    table, slow_hosts = build()
+
+    def run_fast() -> int:
+        for _ in range(ticks):
+            step_hosts(table, 1.0)
+        return ticks
+
+    def run_naive() -> int:
+        for _ in range(ticks):
+            for host in slow_hosts:
+                host.step_local(1.0)
+        return ticks
+
+    t_fast, u_fast = _best_of(run_fast, repeat)
+    t_naive, u_naive = _best_of(run_naive, repeat)
+    return t_fast / u_fast * 1e6, t_naive / u_naive * 1e6
+
+
 def bench_dataplane(repeat: int = 3) -> Dict[str, float]:
-    """Columnar host step vs the scalar dict-per-tick oracle.
+    """Columnar host stepping vs the scalar dict-per-tick oracle.
 
-    Three ratios, all measured in-process on identical inputs after a
-    bitwise lockstep sanity pass:
+    Ratios, all measured in-process on identical inputs after a bitwise
+    lockstep sanity pass:
 
-    * ``dataplane.speedup_vs_naive`` — a 24-guest host under the mixed
-      active schedule: ``step_table`` (guests publish ndarray rows, the
-      four kernels run vectorized, grants refreshed in place) against
-      ``step_local`` (per-tick demand/request/grant dict construction);
-    * ``dataplane.idle_speedup_vs_naive`` — the all-idle host, where the
-      columnar path's cached idle grants shortcut re-emission;
+    * ``dataplane.speedup_vs_naive`` — one 24-guest host under the mixed
+      active schedule: ``step_hosts`` over a one-host ``GuestTable``
+      (guests publish ndarray rows, the kernels run vectorized, grants
+      refreshed in place) against ``step_local`` (per-tick
+      demand/request/grant dict construction);
+    * ``dataplane.cluster_speedup_vs_naive`` — 48 hosts × 5 guests, the
+      fleet shape: one table for all hosts against 48 scalar steps;
+    * ``dataplane.small_host_speedup_vs_naive`` — one 8-guest host, the
+      smallest table the figures step (Fig. 11's hosts);
+    * ``dataplane.idle_speedup_vs_naive`` — the all-idle 24-guest host,
+      where the table's cached idle grants shortcut re-emission;
     * ``dataplane.fabric_speedup_vs_naive`` — the vectorized NIC
       water-filling against the per-flow dict-accumulation loop it
       replaced.
     """
     from repro.hardware.network import Flow, NetworkFabric
-    from repro.hardware.resources import ZERO_DEMAND
 
-    n_guests, ticks = 24, 60
-
-    # ---- sanity: scalar and columnar hosts step bitwise in lockstep ----
-    fast_host, _ = _make_dataplane_host(n_guests)
-    slow_host, _ = _make_dataplane_host(n_guests)
-    for _ in range(13):
-        table = fast_host.step_table(1.0)
-        res = slow_host.step_local(1.0)
-        for i, name in enumerate(table.names):
-            g, s = table.grants[i], res.grants[name]
-            got = (g.cpu_coresec, g.effective_coresec, g.cpi, g.mpki,
-                   g.read_ops, g.write_ops, g.read_bytes, g.write_bytes,
-                   g.io_wait_ms_per_op, g.mem_bytes)
-            want = (s.cpu_coresec, s.effective_coresec, s.cpi, s.mpki,
-                    s.read_ops, s.write_ops, s.read_bytes, s.write_bytes,
-                    s.io_wait_ms_per_op, s.mem_bytes)
-            if got != want:
-                raise AssertionError(
-                    f"columnar data plane diverged from scalar oracle on "
-                    f"{name}: {got!r} vs {want!r}"
-                )
-
-    fast_host, _ = _make_dataplane_host(n_guests)
-    slow_host, _ = _make_dataplane_host(n_guests)
-
-    def run_fast() -> int:
-        for _ in range(ticks):
-            fast_host.step_table(1.0)
-        return ticks
-
-    def run_naive() -> int:
-        for _ in range(ticks):
-            slow_host.step_local(1.0)
-        return ticks
-
-    t_fast, u_fast = _best_of(run_fast, repeat)
-    t_naive, u_naive = _best_of(run_naive, repeat)
-
-    # ---- all-idle hosts ------------------------------------------------
-    idle_fast, fvms = _make_dataplane_host(n_guests)
-    idle_slow, svms = _make_dataplane_host(n_guests)
-    for vm in fvms + svms:
-        vm.attach_workload(_ScriptedDriver([ZERO_DEMAND], vm.driver.profile))
-
-    def run_idle_fast() -> int:
-        for _ in range(ticks):
-            idle_fast.step_table(1.0)
-        return ticks
-
-    def run_idle_naive() -> int:
-        for _ in range(ticks):
-            idle_slow.step_local(1.0)
-        return ticks
-
-    t_ifast, u_ifast = _best_of(run_idle_fast, repeat)
-    t_inaive, u_inaive = _best_of(run_idle_naive, repeat)
+    fast, naive_us = _dataplane_ratio(1, 24, 60, repeat)
+    cluster_fast, cluster_naive = _dataplane_ratio(48, 5, 10, repeat)
+    small_fast, small_naive = _dataplane_ratio(1, 8, 120, repeat)
+    idle_fast, idle_naive = _dataplane_ratio(1, 24, 60, repeat, idle=True)
 
     # ---- fabric --------------------------------------------------------
     n_hosts, n_flows = 15, 240
@@ -670,15 +691,14 @@ def bench_dataplane(repeat: int = 3) -> Dict[str, float]:
     t_ffast, u_ffast = _best_of(run_fabric_fast, repeat)
     t_fnaive, u_fnaive = _best_of(run_fabric_naive, repeat)
 
-    per_fast = t_fast / u_fast
-    per_naive = t_naive / u_naive
     return {
-        "dataplane.step_us_per_tick": per_fast * 1e6,
-        "dataplane.naive_step_us_per_tick": per_naive * 1e6,
-        "dataplane.speedup_vs_naive": per_naive / per_fast,
-        "dataplane.idle_speedup_vs_naive": (
-            (t_inaive / u_inaive) / (t_ifast / u_ifast)
-        ),
+        "dataplane.step_us_per_tick": fast,
+        "dataplane.naive_step_us_per_tick": naive_us,
+        "dataplane.speedup_vs_naive": naive_us / fast,
+        "dataplane.cluster_step_us_per_tick": cluster_fast,
+        "dataplane.cluster_speedup_vs_naive": cluster_naive / cluster_fast,
+        "dataplane.small_host_speedup_vs_naive": small_naive / small_fast,
+        "dataplane.idle_speedup_vs_naive": idle_naive / idle_fast,
         "dataplane.fabric_us_per_call": t_ffast / u_ffast * 1e6,
         "dataplane.fabric_speedup_vs_naive": (
             (t_fnaive / u_fnaive) / (t_ffast / u_ffast)

@@ -3,8 +3,9 @@
 These replicate, line for line, the shapes the code had before the
 vectorization pass: a deque-backed time series whose every lookup
 converts the full history, per-suspect Pearson alignment that rebuilds
-arrays per instant, and rolling deviation stats recomputed from the tail
-each interval.  They serve two purposes:
+arrays per instant, rolling deviation stats recomputed from the tail
+each interval, and a cluster step that resolves every host through the
+scalar ``PhysicalHost.step_local``.  They serve two purposes:
 
 * the **property tests** check the optimized implementations against
   them over randomized sample streams (they are the behavioral oracle);
@@ -25,6 +26,7 @@ from repro.metrics.timeseries import TimeSeries
 __all__ = [
     "NaiveTimeSeries",
     "naive_aligned_pearson",
+    "naive_cluster_step",
     "naive_fabric_allocate",
     "naive_history_ingest",
     "naive_rolling_tail_stats",
@@ -92,6 +94,43 @@ def naive_fabric_allocate(
         h: (egress[h] / nic[h], ingress[h] / nic[h]) for h in nic
     }
     return [r * dt for r in rates], utilization
+
+
+def naive_cluster_step(cluster, dt: float) -> dict:
+    """One fluid step of ``cluster`` with every host on the scalar path.
+
+    The oracle for :meth:`repro.virt.cluster.Cluster.step`: each host
+    (sorted by name) resolves its guests through
+    :meth:`~repro.hardware.host.PhysicalHost.step_local`, flow demands go
+    to the fabric in host-then-row order, and every grant is delivered.
+    Returns the grants by VM name.
+    """
+    from repro.hardware.network import Flow
+
+    grants: dict = {}
+    flows: list = []
+    owners: list = []
+    for host_name, host in sorted(cluster.hosts.items()):
+        res = host.step_local(dt)
+        grants.update(res.grants)
+        for demander, fd in res.flow_demands:
+            peer = cluster.vms.get(fd.peer_vm)
+            if peer is None or peer.host_name is None:
+                continue
+            if fd.direction == "out":
+                ends = (demander, fd.peer_vm, host_name, peer.host_name)
+            else:
+                ends = (fd.peer_vm, demander, peer.host_name, host_name)
+            flows.append(Flow(*ends, bytes_per_s=fd.bytes_per_s))
+            owners.append((demander, fd.peer_vm))
+    for (demander, peer), got in zip(owners, cluster.fabric.allocate(flows, dt)):
+        nb = grants[demander].net_bytes
+        nb[peer] = nb.get(peer, 0.0) + got
+    for host_name, host in sorted(cluster.hosts.items()):
+        for name in host.guest_names():
+            cluster.vms[name].deliver(grants[name])
+    cluster.steps += 1
+    return grants
 
 
 class NaiveTimeSeries:

@@ -13,6 +13,8 @@ from typing import TYPE_CHECKING, Dict, Hashable, Mapping, Optional
 
 import numpy as np
 
+from repro.hardware.table import row_sums, seq_sum
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hardware.table import GuestTable
 
@@ -56,7 +58,7 @@ def allocate_cpu(
         limit = demand if cap is None else min(demand, max(0.0, cap))
         effective[vm] = limit
 
-    total = sum(effective.values())
+    total = seq_sum(effective.values())
     if total <= capacity + 1e-12:
         return dict(effective)
 
@@ -69,7 +71,7 @@ def allocate_cpu(
     for _ in range(len(effective) + 1):
         if not active or remaining <= 1e-12:
             break
-        total_weight = sum(max(weights.get(vm, 1.0), 1e-9) for vm in active)
+        total_weight = seq_sum(max(weights.get(vm, 1.0), 1e-9) for vm in active)
         satisfied = set()
         for vm in sorted(active, key=_stable_key):
             share = remaining * max(weights.get(vm, 1.0), 1e-9) / total_weight
@@ -84,7 +86,7 @@ def allocate_cpu(
                 grants[vm] += share
             remaining = 0.0
             break
-        remaining = capacity - sum(grants.values())
+        remaining = capacity - seq_sum(grants.values())
         active -= satisfied
     return grants
 
@@ -94,45 +96,55 @@ def _stable_key(vm: Hashable) -> str:
     return str(vm)
 
 
-def allocate_cpu_table(table: "GuestTable", capacity: float) -> None:
-    """Columnar :func:`allocate_cpu`: fill ``table.cpu_grant`` in place.
+def allocate_cpu_table(table: "GuestTable") -> None:
+    """Columnar :func:`allocate_cpu` over every host of a ``GuestTable``.
 
-    Bitwise-identical to the scalar water-filling over the same rows:
-    each numpy elementwise op performs the exact IEEE operation the
-    scalar expression did per VM, reductions use :func:`~repro.hardware.
-    table.seq_sum` to keep the scalar left-to-right association order,
-    and the round structure (who is satisfied when) is decided by the
-    same ``1e-12`` comparisons.  Preconditions (non-negative demands and
-    capacity) are the caller's responsibility — the scalar oracle keeps
-    the validation.
+    Fills ``table.cpu_grant`` in place, each host against its own core
+    count, and ``table.cpu_utilization`` (granted / capacity per host).
+    Bitwise-identical to the scalar water-filling host by host: each
+    numpy elementwise op performs the exact IEEE operation the
+    scalar expression did per VM, per-host sums use
+    :func:`~repro.hardware.table.row_sums` (the scalar left-to-right
+    order), and the round structure (who is satisfied when) is decided by
+    the same ``1e-12`` comparisons, with a per-host mask standing in for
+    the scalar loop's ``break``.  Preconditions (non-negative demands)
+    are the caller's responsibility — the scalar oracle keeps the
+    validation.
     """
-    from repro.hardware.table import seq_sum
-
-    demand = table.cpu_demand
-    # +inf cap encodes "uncapped": min(d, max(0, inf)) == d exactly.
-    effective = np.minimum(demand, np.maximum(table.cpu_cap, 0.0))
     out = table.cpu_grant
-    total = seq_sum(effective)
-    if total <= capacity + 1e-12:
-        out[:] = effective
+    np.minimum(table.demand[0], np.maximum(table.caps[0], 0.0), out=out)
+    capacity = table.cores
+    total = row_sums(out)
+    over = total > table.core_limit
+    if True not in over.tolist():
+        table.cpu_utilization = (total / capacity).tolist()
         return
 
-    out[:] = 0.0
-    w = np.maximum(table.weight, 1e-9)
-    active = effective > 0.0
+    effective = out.copy()
+    out[over] = 0.0
+    w = table.weight
+    active = (effective > 0.0) & over[:, None]
     remaining = capacity
-    for _ in range(table.n + 1):
-        if not active.any() or remaining <= 1e-12:
+    pending = over
+    for _ in range(table.width + 1):
+        pending = pending & active.any(axis=1) & (remaining > 1e-12)
+        if not pending.any():
             break
+        act = active & pending[:, None]
         # Weights are small integer vCPU counts, so this sum is exact in
         # any association order despite the scalar path iterating a set.
-        total_weight = seq_sum(w[active])
-        share = remaining * w / total_weight
+        total_weight = np.where(pending, row_sums(np.where(act, w, 0.0)), 1.0)
+        share = remaining[:, None] * w / total_weight[:, None]
         residual = effective - out
-        satisfied = active & (residual <= share + 1e-12)
-        if not satisfied.any():
-            out[active] += share[active]
-            break
+        satisfied = act & (residual <= share + 1e-12)
+        # Hosts where everyone wants at least their share: hand out
+        # shares and stop.
+        stuck = pending & ~satisfied.any(axis=1)
+        if stuck.any():
+            give = act & stuck[:, None]
+            out[give] += share[give]
+            pending = pending & ~stuck
         out[satisfied] += residual[satisfied]
-        remaining = capacity - seq_sum(out)
-        active &= ~satisfied
+        remaining = np.where(pending, capacity - row_sums(out), remaining)
+        active = active & ~satisfied
+    table.cpu_utilization = (row_sums(out) / capacity).tolist()

@@ -19,7 +19,7 @@ throughput unbiased.
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, Tuple
+from typing import Dict, Hashable, Iterable, List
 
 import numpy as np
 
@@ -52,8 +52,8 @@ class PersistentBias:
         self._rng = rng
         self.mean_epoch_steps = float(mean_epoch_steps)
         self.folded = folded
-        #: key -> (z draw, steps remaining in epoch)
-        self._state: Dict[Hashable, Tuple[float, int]] = {}
+        #: key -> [z draw, steps remaining in epoch], updated in place
+        self._state: Dict[Hashable, List] = {}
 
     def value(self, key: Hashable, sigma: float) -> float:
         """Current bias factor for ``key`` at skew scale ``sigma``."""
@@ -63,9 +63,9 @@ class PersistentBias:
         if state is None or state[1] <= 0:
             z = float(self._rng.standard_normal())
             steps = int(self._rng.geometric(1.0 / self.mean_epoch_steps))
-            state = (z, steps)
-        z, steps = state
-        self._state[key] = (z, steps - 1)
+            state = self._state[key] = [z, steps]
+        state[1] -= 1
+        z = state[0]
         if sigma == 0.0:
             return 1.0
         if self.folded:
@@ -75,6 +75,13 @@ class PersistentBias:
     def forget(self, key: Hashable) -> None:
         """Drop the epoch state for a departed/idle entity."""
         self._state.pop(key, None)
+
+    def forget_all(self, keys: Iterable[Hashable]) -> None:
+        """Drop the epoch state of every key in ``keys``."""
+        state = self._state
+        if state:
+            for key in keys:
+                state.pop(key, None)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PersistentBias(entities={len(self._state)})"

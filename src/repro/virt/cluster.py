@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.hardware.host import PhysicalHost
+from repro.hardware.host import PhysicalHost, step_hosts
 from repro.hardware.network import Flow, NetworkFabric
 from repro.hardware.specs import R630, HostSpec
+from repro.hardware.table import GuestTable
 from repro.sim.engine import Simulator
 from repro.virt.vm import VM, Priority
 
@@ -40,11 +41,11 @@ class Cluster:
         #: full scan over ``self.vms`` produced.
         self._placement: Dict[str, Dict[str, VM]] = {}
         self.fabric = NetworkFabric({})
+        #: Every guest of every host, as one columnar table.
+        self.table = GuestTable()
         sim.add_stepper(self)
         #: Count of fluid steps executed (diagnostics).
         self.steps = 0
-        # Hosts sorted by name, cached across steps (hosts are append-only).
-        self._sorted_hosts: Optional[List[PhysicalHost]] = None
 
     # ----------------------------------------------------------------- hosts
     def add_host(self, name: str, spec: Optional[HostSpec] = None) -> PhysicalHost:
@@ -55,7 +56,7 @@ class Cluster:
         self.hosts[name] = host
         self._placement[name] = {}
         self.fabric.add_host(name, host.spec.nic.bytes_per_s)
-        self._sorted_hosts = None
+        self.table.add_host(host)
         return host
 
     def add_hosts(self, count: int, prefix: str = "host", spec: Optional[HostSpec] = None) -> List[PhysicalHost]:
@@ -117,64 +118,57 @@ class Cluster:
     def step(self, dt: float) -> None:
         """One fluid step: host-local allocation, fabric, grant delivery.
 
-        Runs the columnar data plane — each host steps its
-        :class:`~repro.hardware.table.GuestTable` in place — then resolves
-        flows through the fabric and delivers the tables' reusable grants
-        to the rows marked deliverable (rows with no live driver are
-        skipped: an all-zero grant is an exact cgroup no-op).
+        Steps every host through the cluster's one
+        :class:`~repro.hardware.table.GuestTable`, then resolves flows
+        through the fabric and delivers the table's reusable grants to
+        the slots marked deliverable (slots with no live driver are
+        skipped: an all-zero grant is an exact cgroup no-op).  Flows and
+        deliveries go host by host in row order.
         """
-        hosts = self._sorted_hosts
-        if hosts is None:
-            hosts = self._sorted_hosts = [
-                host for _, host in sorted(self.hosts.items())
-            ]
-        tables = [host.step_table(dt) for host in hosts]
+        table = self.table
+        step_hosts(table, dt)
 
-        # Resolve network-flow demands against the fabric, in the same
-        # host-by-host, row-by-row order the scalar path emitted them.
+        # Resolve network-flow demands against the fabric.
         flows: List[Flow] = []
         flow_owners: List[tuple] = []
         vms = self.vms
-        for host, tbl in zip(hosts, tables):
-            host_name = host.name
-            names = tbl.names
-            row_flows = tbl.flows
-            for i in tbl.flow_rows:
-                demander = names[i]
-                for fd in row_flows[i]:
-                    peer = vms.get(fd.peer_vm)
-                    if peer is None or peer.host_name is None:
-                        continue  # peer gone (e.g. destroyed mid-transfer)
-                    if fd.direction == "out":
-                        src_vm, dst_vm = demander, fd.peer_vm
-                        src_host, dst_host = host_name, peer.host_name
-                    else:
-                        src_vm, dst_vm = fd.peer_vm, demander
-                        src_host, dst_host = peer.host_name, host_name
-                    flows.append(
-                        Flow(
-                            src_vm=src_vm,
-                            dst_vm=dst_vm,
-                            src_host=src_host,
-                            dst_host=dst_host,
-                            bytes_per_s=fd.bytes_per_s,
-                        )
+        names = table.names
+        host_names = table.host_names
+        row_flows = table.flows
+        for k in table.flow_rows:
+            demander = names[k]
+            host_name = host_names[k]
+            for fd in row_flows[k]:
+                peer = vms.get(fd.peer_vm)
+                if peer is None or peer.host_name is None:
+                    continue  # peer gone (e.g. destroyed mid-transfer)
+                if fd.direction == "out":
+                    src_vm, dst_vm = demander, fd.peer_vm
+                    src_host, dst_host = host_name, peer.host_name
+                else:
+                    src_vm, dst_vm = fd.peer_vm, demander
+                    src_host, dst_host = peer.host_name, host_name
+                flows.append(
+                    Flow(
+                        src_vm=src_vm,
+                        dst_vm=dst_vm,
+                        src_host=src_host,
+                        dst_host=dst_host,
+                        bytes_per_s=fd.bytes_per_s,
                     )
-                    flow_owners.append((tbl, i, fd.peer_vm))
+                )
+                flow_owners.append((k, fd.peer_vm))
 
         delivered = self.fabric.allocate(flows, dt)
-        for (tbl, i, peer), got in zip(flow_owners, delivered):
-            nb = tbl.grants[i].net_bytes
+        grants = table.grants
+        for (k, peer), got in zip(flow_owners, delivered):
+            nb = grants[k].net_bytes
             nb[peer] = nb.get(peer, 0.0) + got
 
         # Deliver grants.
-        for tbl in tables:
-            deliver = tbl.deliver
-            grants = tbl.grants
-            names = tbl.names
-            for i in range(tbl.n):
-                if deliver[i]:
-                    vms[names[i]].deliver(grants[i])
+        guests = table.guests
+        for k in table.deliver_rows:
+            guests[k].deliver(grants[k])
         self.steps += 1
 
     # ------------------------------------------------------------- internals

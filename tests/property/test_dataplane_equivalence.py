@@ -1,17 +1,24 @@
 """Property tests: the columnar data plane matches the scalar oracle.
 
-One host is stepped two ways over randomized guest schedules — the
-vectorized ``PhysicalHost.step_table`` (ndarray columns + batched
-kernels) against ``step_local`` (the per-tick dict/dataclass path it
-replaced, kept as the oracle) — and every grant field must be *bitwise*
-equal, along with the host gauges and the disk's lifetime counters.  The
-schedules deliberately cover the shapes that earned special cases in
-the kernels: idle episodes and all-idle ticks (the cached idle-grant
-fast path), drivers that finish mid-run, driverless VMs, cgroup CPU
-quotas and blkio throttles flipping between ticks, all-zero active
-demands, single-guest and empty hosts, and profiles that change *inside*
-``demand()`` (the CompositeDriver pattern: the profile must be read
-after the demand poll, never before).
+Hosts are stepped two ways over randomized guest schedules — through
+the cluster-wide :class:`~repro.hardware.table.GuestTable` (one slab,
+one call per kernel per tick) and through the scalar
+``PhysicalHost.step_local`` (the per-tick dict/dataclass path, kept as
+the oracle) — and every grant field must be *bitwise* equal, along with
+the host gauges, the disk's lifetime counters, the persistent-bias
+state and every RNG stream.  The single-host schedules deliberately
+cover the shapes that earned special cases in the kernels: idle
+episodes and all-idle ticks (the cached idle-grant path), drivers that
+finish mid-run, driverless VMs, cgroup CPU quotas and blkio throttles
+flipping between ticks, all-zero active demands, single-guest and empty
+hosts, and profiles that change *inside* ``demand()`` (the
+CompositeDriver pattern: the profile must be read after the demand
+poll, never before).  The multi-host test steps whole clusters —
+``Cluster.step`` against :func:`repro.bench.naive.naive_cluster_step` —
+with hosts of very different widths, idle hosts beside busy ones, a
+NUMA host in the mix, cross-host flows, and boots, destroys, migrations
+and cap flips between ticks (each one rebuilds the slab).  It also
+checks physical invariants of every grant.
 
 The network fabric gets its own comparison against the scalar loop
 preserved in :func:`repro.bench.naive.naive_fabric_allocate`, and the
@@ -19,12 +26,15 @@ monitor's preallocated sample buffers are checked across cumulative-
 counter resets.
 """
 
+import dataclasses
 import math
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench.naive import naive_fabric_allocate
+from repro.bench.naive import naive_cluster_step, naive_fabric_allocate
+from repro.hardware.host import PhysicalHost, step_hosts
 from repro.hardware.network import Flow, NetworkFabric
 from repro.hardware.resources import (
     NetFlowDemand,
@@ -33,7 +43,10 @@ from repro.hardware.resources import (
     ZERO_DEMAND,
 )
 from repro.hardware.specs import R630
+from repro.hardware.table import GuestTable, row_sums, seq_sum
+from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
+from repro.virt.cluster import Cluster
 from repro.virt.vm import VM
 
 
@@ -94,11 +107,12 @@ class _ScriptedDriver:
     the columnar path must match.
     """
 
-    def __init__(self, schedule, profiles) -> None:
+    def __init__(self, schedule, profiles, log=None) -> None:
         self._schedule = list(schedule)
         self._profiles = profiles
         self._i = 0
         self.profile = profiles[0]
+        self._log = log
 
     @property
     def finished(self) -> bool:
@@ -111,15 +125,12 @@ class _ScriptedDriver:
         return ZERO_DEMAND if d is None else d
 
     def consume(self, grant) -> None:
-        pass
+        if self._log is not None:
+            self._log.append(self.name)
 
 
-def _build_host(specs, tag, vector_min_rows=None):
-    from repro.hardware.host import PhysicalHost
-
+def _build_host(specs):
     host = PhysicalHost("prop0", R630, RngRegistry(23))
-    if vector_min_rows is not None:
-        host.vector_min_rows = vector_min_rows
     vms = []
     for i, spec in enumerate(specs):
         vm = VM(f"vm{i:02d}", vcpus=spec["vcpus"])
@@ -131,15 +142,9 @@ def _build_host(specs, tag, vector_min_rows=None):
             if spec["flow_peer"] is not None and schedule:
                 d, pi = schedule[0]
                 if d is not None:
-                    d = ResourceDemand(
-                        cpu_cores=d.cpu_cores, read_iops=d.read_iops,
-                        write_iops=d.write_iops, read_bytes_ps=d.read_bytes_ps,
-                        write_bytes_ps=d.write_bytes_ps,
-                        mem_bw_gbps=d.mem_bw_gbps, llc_ws_mb=d.llc_ws_mb,
-                        flows=(NetFlowDemand(
-                            peer_vm=f"vm{spec['flow_peer']:02d}",
-                            bytes_per_s=1e6, direction="in"),),
-                    )
+                    d = dataclasses.replace(d, flows=(NetFlowDemand(
+                        peer_vm=f"vm{spec['flow_peer']:02d}",
+                        bytes_per_s=1e6, direction="in"),))
                     schedule = [(d, pi)] + schedule[1:]
             vm.attach_workload(_ScriptedDriver(schedule, spec["profiles"]))
         host.attach(vm)
@@ -147,46 +152,254 @@ def _build_host(specs, tag, vector_min_rows=None):
     return host, vms
 
 
-_GRANT_FIELDS = ("cpu_coresec", "effective_coresec", "cpi", "mpki",
+_GRANT_FIELDS = ("dt", "cpu_coresec", "effective_coresec", "cpi", "mpki",
                  "read_ops", "write_ops", "read_bytes", "write_bytes",
                  "io_wait_ms_per_op", "mem_bytes")
 
 
+def _assert_hosts_equal(fast, slow):
+    """Gauges, lifetime counters, bias state and RNG streams match."""
+    assert fast.cpu_utilization == slow.cpu_utilization
+    assert fast.disk.utilization == slow.disk.utilization
+    assert fast.disk.total_ops_served == slow.disk.total_ops_served
+    assert fast.disk.total_bytes_served == slow.disk.total_bytes_served
+    assert fast.memsys.bw_utilization == slow.memsys.bw_utilization
+    assert fast.disk._share_bias._state == slow.disk._share_bias._state
+    assert fast.disk._bias._state == slow.disk._bias._state
+    assert (fast.disk._rng.bit_generator.state
+            == slow.disk._rng.bit_generator.state)
+    mems = getattr(fast.memsys, "_nodes", [fast.memsys])
+    oracle_mems = getattr(slow.memsys, "_nodes", [slow.memsys])
+    for got, want in zip(mems, oracle_mems):
+        assert got._bias._state == want._bias._state
+        assert got._rng.bit_generator.state == want._rng.bit_generator.state
+
+
 @settings(max_examples=80, deadline=None)
 @given(specs=st.lists(_guest_specs, min_size=0, max_size=5),
-       ticks=st.integers(min_value=1, max_value=8),
-       force_vector=st.booleans())
-def test_step_table_matches_step_local_bitwise(specs, ticks, force_vector):
-    # force_vector=True drops the small-host dispatch threshold to zero
-    # so the vectorized kernels run even at these row counts; False
-    # exercises the default dispatch (scalar fallback while active, the
-    # table path across idle episodes) and its transitions.
-    fast_host, _ = _build_host(
-        specs, "fast", vector_min_rows=0 if force_vector else None)
-    slow_host, _ = _build_host(specs, "slow")
+       ticks=st.integers(min_value=1, max_value=8))
+def test_step_hosts_matches_step_local_bitwise(specs, ticks):
+    fast_host, _ = _build_host(specs)
+    slow_host, _ = _build_host(specs)
+    table = GuestTable([fast_host])
     for _ in range(ticks):
-        table = fast_host.step_table(1.0)
+        step_hosts(table, 1.0)
         res = slow_host.step_local(1.0)
-        assert table.names == sorted(res.grants)
-        for i, name in enumerate(table.names):
-            g, s = table.grants[i], res.grants[name]
+        names = [table.names[k] for k in table.rows()]
+        assert names == sorted(res.grants)
+        for k in table.rows():
+            g, s = table.grants[k], res.grants[table.names[k]]
             for f in _GRANT_FIELDS:
-                assert getattr(g, f) == getattr(s, f), (name, f)
+                assert getattr(g, f) == getattr(s, f), (table.names[k], f)
         # Flow demands surface in the same (row-order, demand-order)
         # sequence the scalar path emitted them.
         got_flows = [
-            (table.names[i], fd)
-            for i in table.flow_rows for fd in table.flows[i]
+            (table.names[k], fd)
+            for k in table.flow_rows for fd in table.flows[k]
         ]
         assert got_flows == res.flow_demands
-        assert fast_host.cpu_utilization == slow_host.cpu_utilization
-        assert fast_host.disk.utilization == slow_host.disk.utilization
-        assert (fast_host.disk.total_ops_served
-                == slow_host.disk.total_ops_served)
-        assert (fast_host.disk.total_bytes_served
-                == slow_host.disk.total_bytes_served)
-        assert (fast_host.memsys.bw_utilization
-                == slow_host.memsys.bw_utilization)
+        _assert_hosts_equal(fast_host, slow_host)
+
+
+# -------------------------------------------------------------- reductions
+def test_seq_sum_is_strictly_sequential_on_every_interpreter():
+    # Builtin sum compensates float sums on CPython >= 3.12 and would
+    # return 1.0 here; the scalar oracle must add left to right.
+    assert seq_sum([1e16, 1.0, -1e16]) == 0.0
+    assert math.copysign(1.0, seq_sum([-0.0, -0.0])) == 1.0
+    assert seq_sum(np.array([1e16, 1.0, -1e16])) == 0.0
+    assert seq_sum([]) == 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(
+    st.lists(st.one_of(st.just(-0.0), st.floats(-1e300, 1e300)),
+             min_size=0, max_size=9),
+    min_size=1, max_size=5))
+def test_row_sums_match_seq_sum_with_zero_padding(rows):
+    width = max(len(r) for r in rows) or 1
+    slab = np.zeros((len(rows), width))
+    for h, r in enumerate(rows):
+        slab[h, :len(r)] = r
+    got = row_sums(slab).tolist()
+    for h, r in enumerate(rows):
+        want = seq_sum(r)
+        assert got[h] == want
+        assert math.copysign(1.0, got[h]) == math.copysign(1.0, want)
+
+
+# ----------------------------------------------------------------- cluster
+_NUMA = dataclasses.replace(R630, numa_sockets=2)
+_EVENTS = ("boot", "destroy", "migrate", "caps")
+
+
+@st.composite
+def _worlds(draw):
+    sizes = draw(st.lists(st.sampled_from([0, 1, 5, 8, 16, 40]),
+                          min_size=1, max_size=4))
+    ticks = draw(st.integers(min_value=1, max_value=6))
+    return {
+        "dts": draw(st.lists(st.sampled_from([0.5, 1.0]),
+                             min_size=ticks, max_size=ticks)),
+        "sizes": sizes,
+        "idle": [draw(st.booleans()) for _ in sizes],
+        # Scales every rate a host's guests demand: light hosts stay
+        # below saturation while heavy ones saturate disk and DRAM.
+        "load": [draw(st.sampled_from([0.001, 0.05, 1.0])) for _ in sizes],
+        # Constant-rate drivers: inputs repeat tick after tick, so the
+        # table reuses its draw-free plans while the noise keeps moving.
+        "constant": draw(st.booleans()),
+        "numa": draw(st.one_of(st.none(),
+                               st.integers(0, len(sizes) - 1))),
+        "seed": draw(st.integers(min_value=0, max_value=2**32 - 1)),
+        "ticks": ticks,
+        "events": draw(st.lists(
+            st.tuples(st.integers(0, ticks - 1), st.sampled_from(_EVENTS),
+                      st.integers(0, 2**31 - 1)),
+            max_size=6)),
+    }
+
+
+_WORLD_PROFILES = [
+    PerfProfile(),
+    PerfProfile(base_cpi=0.9, llc_sensitivity=0.6, bw_sensitivity=0.8,
+                mpki_min=1.0, mpki_max=9.0),
+    PerfProfile(base_cpi=1.4, llc_sensitivity=0.1, bw_sensitivity=0.2,
+                mpki_min=0.5, mpki_max=3.0),
+]
+
+
+def _random_demand(rng, peers, load):
+    """One tick of a scripted schedule: idle, all-zero or active."""
+    roll = rng.random()
+    if roll < 0.3:
+        return None
+    if roll < 0.35:
+        return ResourceDemand()
+
+    def rate(scale):
+        if rng.random() < 0.25:
+            return 0.0
+        return float(rng.uniform(0, scale * load))
+    flows = ()
+    if peers and rng.random() < 0.3:
+        flows = tuple(
+            NetFlowDemand(peer_vm=peers[int(rng.integers(len(peers)))],
+                          bytes_per_s=rate(2e9),
+                          direction="in" if rng.random() < 0.5 else "out")
+            for _ in range(int(rng.integers(1, 3))))
+    return ResourceDemand(
+        cpu_cores=rate(12.0), read_iops=rate(6e4), write_iops=rate(6e4),
+        read_bytes_ps=rate(1.5e9), write_bytes_ps=rate(1.5e9),
+        mem_bw_gbps=rate(40.0), llc_ws_mb=rate(200.0), flows=flows)
+
+
+def _random_caps(rng, vm):
+    vm.cgroup.cpu.quota_cores = (
+        None if rng.random() < 0.5 else float(rng.uniform(0, 8)))
+    vm.cgroup.throttle.iops_cap = (
+        None if rng.random() < 0.6 else float(rng.uniform(0, 5e4)))
+    vm.cgroup.throttle.bps_cap = (
+        None if rng.random() < 0.6 else float(rng.uniform(0, 1e9)))
+
+
+def _boot(cluster, rng, name, host, idle, load, world, peers):
+    vm = cluster.boot_vm(name, host, vcpus=int(rng.integers(1, 5)))
+    _random_caps(rng, vm)
+    if idle or rng.random() < 0.15:
+        return  # driverless
+    ticks = world["ticks"]
+    if world["constant"]:
+        step = (_random_demand(rng, peers, load), int(rng.integers(3)))
+        schedule = [step] * (ticks + 1)
+    else:
+        schedule = [
+            (_random_demand(rng, peers, load), int(rng.integers(3)))
+            for _ in range(int(rng.integers(0, ticks + 2)))
+        ]
+    driver = _ScriptedDriver(schedule, _WORLD_PROFILES, cluster.delivery_log)
+    driver.name = name
+    vm.attach_workload(driver)
+
+
+def _build_world(world):
+    """A cluster, booted from ``world``; identical for identical input."""
+    rng = np.random.default_rng(world["seed"])
+    cluster = Cluster(Simulator(seed=world["seed"] % 1000))
+    # Drivers log every delivery: the order VMs consume grants in must
+    # match too (framework drivers react to each other through it).
+    cluster.delivery_log = []
+    hosts = []
+    for h, _ in enumerate(world["sizes"]):
+        spec = _NUMA if world["numa"] == h else R630
+        hosts.append(cluster.add_host(f"h{h}", spec).name)
+    peers = [f"h{h}v{j:02d}" for h, n in enumerate(world["sizes"])
+             for j in range(n)]
+    for h, n in enumerate(world["sizes"]):
+        for j in range(n):
+            _boot(cluster, rng, f"h{h}v{j:02d}", hosts[h], world["idle"][h],
+                  world["load"][h], world, peers)
+    return cluster, rng
+
+
+def _apply(cluster, rng, event, arg, label, world):
+    names = sorted(cluster.vms)
+    hosts = sorted(cluster.hosts)
+    if event == "boot":
+        _boot(cluster, rng, f"new{label}", hosts[arg % len(hosts)],
+              False, 1.0, world, names)
+    elif names and event == "destroy":
+        cluster.destroy_vm(names[arg % len(names)])
+    elif names and event == "migrate":
+        cluster.migrate_vm(names[arg % len(names)],
+                           hosts[(arg // 7) % len(hosts)])
+    elif names and event == "caps":
+        _random_caps(rng, cluster.vms[names[arg % len(names)]])
+
+
+def _assert_physical(cluster, grants, dt):
+    for host in cluster.hosts.values():
+        names = host.guest_names()
+        cores = [grants[n].cpu_coresec / dt for n in names]
+        assert seq_sum(cores) <= host.spec.cores * (1 + 1e-12)
+        for n, used in zip(names, cores):
+            vm = cluster.vms[n]
+            assert used <= vm.cpu_cap_cores() * (1 + 1e-12) + 1e-300
+            g = grants[n]
+            iops_cap = vm.cgroup.throttle.iops_cap
+            if iops_cap is not None:
+                served = (g.read_ops + g.write_ops) / dt
+                assert served <= iops_cap * (1 + 1e-12) + 1e-300
+            assert g.mem_bytes >= 0.0 and math.isfinite(g.mem_bytes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(world=_worlds())
+def test_cluster_step_matches_per_host_oracles_bitwise(world):
+    fast, fast_rng = _build_world(world)
+    slow, slow_rng = _build_world(world)
+    for tick, dt in enumerate(world["dts"]):
+        for i, (when, event, arg) in enumerate(world["events"]):
+            if when == tick:
+                _apply(fast, fast_rng, event, arg, i, world)
+                _apply(slow, slow_rng, event, arg, i, world)
+        fast.step(dt)
+        want = naive_cluster_step(slow, dt)
+        table = fast.table
+        got = {table.names[k]: table.grants[k] for k in table.rows()}
+        assert sorted(got) == sorted(want)
+        for name, g in got.items():
+            s = want[name]
+            for f in _GRANT_FIELDS:
+                assert getattr(g, f) == getattr(s, f), (name, f)
+            assert g.net_bytes == s.net_bytes, name
+        for name, vm in fast.vms.items():
+            assert vm.cgroup.snapshot() == slow.vms[name].cgroup.snapshot()
+        for name, host in fast.hosts.items():
+            _assert_hosts_equal(host, slow.hosts[name])
+        assert fast.fabric.utilization == slow.fabric.utilization
+        assert fast.delivery_log == slow.delivery_log
+        _assert_physical(fast, got, dt)
 
 
 # ------------------------------------------------------------------ fabric
