@@ -33,6 +33,14 @@ def test_identifier_speedup_floor(micro_metrics):
     assert micro_metrics["micro.identifier.speedup_vs_naive"] >= 20.0
 
 
+def test_identifier_flat_victim_speedup_floor(micro_metrics):
+    # A quiet host's flat victim signal scores every suspect 0.0 without
+    # reading them: >= 5x over aligning and scoring each of 24 suspects.
+    name = "micro.identifier.flat_speedup_vs_realign"
+    assert metric_kind(name) == "ratio"
+    assert micro_metrics[name] >= 5.0
+
+
 def test_dataplane_speedup_floors(micro_metrics):
     # Acceptance criteria for the columnar data plane: the vectorized
     # host step must beat the scalar dict-per-tick oracle by >= 1.5x at

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Export raw testbed metrics for your own analysis/plots.
 
-Attaches a :class:`~repro.experiments.tracing.MetricTracer` to the
+Attaches a :class:`~repro.obs.tracer.MetricTracer` to the
 quickstart scenario, runs it, and writes both CSV and JSON traces —
 per-VM cumulative counters (exactly what PerfCloud's monitor reads via
 libvirt) plus simulator-side truth (device utilizations).
@@ -28,7 +28,7 @@ from repro import (
     teragen,
     terasort,
 )
-from repro.experiments.tracing import MetricTracer
+from repro.obs.tracer import MetricTracer
 
 
 def main() -> None:

@@ -3,7 +3,8 @@
 Every metric is classified by :func:`metric_kind`:
 
 ``ratio``
-    Optimized-vs-naive speedups measured in one process on one machine.
+    Optimized-vs-reference speedups (``*speedup_vs_naive``,
+    ``*speedup_vs_realign``) measured in one process on one machine.
     Machine-independent, so they are **always gated**: if a speedup decays
     past the tolerance, an optimization regressed no matter whose laptop
     or CI runner noticed.
@@ -29,7 +30,7 @@ DEFAULT_TOLERANCE = 0.30
 
 def metric_kind(name: str) -> str:
     """``ratio`` | ``throughput`` | ``latency`` for a metric name."""
-    if name.endswith("speedup_vs_naive"):
+    if "speedup_vs_" in name.rsplit(".", 1)[-1]:
         return "ratio"
     if "per_s" in name.rsplit(".", 1)[-1]:
         return "throughput"

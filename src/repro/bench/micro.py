@@ -18,7 +18,7 @@ import numpy as np
 from repro.bench import naive
 from repro.core.config import PerfCloudConfig
 from repro.core.identification import AntagonistIdentifier
-from repro.metrics.correlation import MissingPolicy
+from repro.metrics.correlation import MissingPolicy, aligned_pearson_many
 from repro.metrics.plane import MetricPlane
 from repro.metrics.stats import RollingStats
 from repro.metrics.timeseries import TimeSeries
@@ -156,10 +156,45 @@ def bench_identifier(repeat: int = 3) -> Dict[str, float]:
     t_naive, u_naive = _best_of(run_naive, max(1, repeat - 2))
     us_fast = t_fast / u_fast * 1e6
     us_naive = t_naive / u_naive * 1e6
+
+    # A quiet host: the victim signal is flat (one high-priority VM, or
+    # idle members), so every suspect scores 0.0.  The identifier answers
+    # without touching the suspects; the reference aligns and scores each.
+    flat = TimeSeries(capacity=4096, name="flat")
+    for i in range(n):
+        flat.append(_INTERVAL * (i + 1), 0.0)
+    flat_now = _INTERVAL * n
+    flat_calls = 40 * calls  # ~10 µs each: time a longer batch
+
+    def run_flat() -> int:
+        for _ in range(flat_calls):
+            identifier.identify("io", flat, fast_suspects, now=flat_now)
+        return flat_calls
+
+    def run_realign() -> int:
+        for _ in range(calls):
+            aligned_pearson_many(flat, fast_suspects, window=config.corr_window,
+                                 policy=MissingPolicy.ZERO)
+        return calls
+
+    got = identifier.identify("io", flat, fast_suspects, now=flat_now)
+    if got.correlations != aligned_pearson_many(
+        flat, fast_suspects, window=config.corr_window, policy=MissingPolicy.ZERO
+    ):
+        raise AssertionError("flat-victim identifier diverged from reference")
+    # Both sides are cheap: interleave several rounds so one CPU-steal
+    # burst cannot depress only one side of the ratio.
+    t_flat = t_realign = float("inf")
+    for _ in range(max(5, repeat)):
+        t_flat = min(t_flat, _best_of(run_flat, 1)[0])
+        t_realign = min(t_realign, _best_of(run_realign, 1)[0])
+    us_flat = t_flat / flat_calls * 1e6
     return {
         "identifier.us_per_interval": us_fast,
         "identifier.naive_us_per_interval": us_naive,
         "identifier.speedup_vs_naive": us_naive / us_fast,
+        "identifier.flat_us_per_interval": us_flat,
+        "identifier.flat_speedup_vs_realign": t_realign / calls * 1e6 / us_flat,
     }
 
 

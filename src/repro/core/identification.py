@@ -45,17 +45,30 @@ when it provably still matches what a fresh alignment would produce:
 Anything else — a reset victim series, a pruned suspect, an arbitrary
 grid jump — falls back to the full per-suspect realignment for exactly
 the affected pairs.
+
+Flat victims
+~~~~~~~~~~~~
+The victim-side deviates are computed first.  When their sum of squares
+is below the Pearson kernel's degenerate-variance guard, every suspect
+scores 0.0 whatever its values, so the identifier returns those zeros
+without looking up, aligning or caching any suspect series.  This is the
+common case on quiet hosts: an app with a single high-priority VM, or
+with idle members, has a constant deviation signal.  The victim's cached
+state is dropped, so its next non-flat interval takes the full
+realignment.  The scores equal every other path's bit for bit, because
+each of them computes the same sum of squares from the same window.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Set
+from typing import Dict, Mapping, Set
 
 import numpy as np
 
 from repro.core.config import PerfCloudConfig
 from repro.metrics.correlation import (
+    _EPS,
     MissingPolicy,
     aligned_pearson_many,
     pearson_deviates,
@@ -141,6 +154,9 @@ class AntagonistIdentifier:
         #: Whole calls routed to ``aligned_pearson_many`` (OMIT policy or
         #: a grid denser than the incremental path supports).
         self.fallbacks = 0
+        #: Calls answered without touching a suspect: the victim window
+        #: was flat, so every score is 0.0.
+        self.flat_skips = 0
 
     def identify(
         self,
@@ -221,6 +237,12 @@ class AntagonistIdentifier:
         if times.size < 2:
             return {vm: 0.0 for vm in suspects}
         key = (resource, id(victim))
+        vd, vv = victim_deviates(v_vals)
+        if vv < _EPS:
+            # Flat victim: every path below would score 0.0 per suspect.
+            self._inc.pop(key, None)
+            self.flat_skips += 1
+            return {vm: 0.0 for vm in suspects}
         st = self._inc.get(key)
         mode = "rebuild"
         if st is not None and st.victim is victim:
@@ -256,10 +278,6 @@ class AntagonistIdentifier:
         t_last = float(times[-1])
         # The newest grid instant whose cached suspect value is reused.
         anchor = t_last if mode == "same" else float(times[-2])
-        # Victim-side Pearson deviates, hoisted once per interval and
-        # computed lazily (a pure cache-hit interval never needs them).
-        vd: Optional[np.ndarray] = None
-        vv = 0.0
         scores: Dict[str, float] = {}
         new_sus: Dict[str, _SuspectRec] = {}
         for vm, series in suspects.items():
@@ -280,8 +298,6 @@ class AntagonistIdentifier:
                 rec.refresh()
                 self.fast_updates += 1
             elif safe:  # step or slide: shift the ring, look up one instant
-                if vd is None:
-                    vd, vv = victim_deviates(v_vals)
                 if mode == "step":
                     s_vals = np.empty(times.size)
                     s_vals[:-1] = rec.s_vals
@@ -298,8 +314,6 @@ class AntagonistIdentifier:
                 rec.refresh()
                 self.fast_updates += 1
             else:
-                if vd is None:
-                    vd, vv = victim_deviates(v_vals)
                 s_vals, _ = series.lookup(times)
                 score = pearson_deviates(vd, vv, s_vals)
                 rec = _SuspectRec(series, s_vals, score)

@@ -49,16 +49,6 @@ from repro.sim.engine import Simulator
 
 __all__ = ["ShardedControlPlane"]
 
-#: Lazily-cached :func:`repro.experiments.parallel.run_many` — resolved
-#: once instead of an import-system lookup every control interval
-#: (module-level import would be circular via repro.experiments.harness).
-_run_many = None
-
-
-def _step_shard(nm) -> None:
-    """Advance one host's control chain by one interval."""
-    nm.control_interval()
-
 
 class ShardedControlPlane:
     """Steps every attached node manager from a single periodic task."""
@@ -139,13 +129,11 @@ class ShardedControlPlane:
             if pool is not None:
                 self._tick_parallel(pool)
                 return
-        global _run_many
-        if _run_many is None:
-            from repro.experiments.parallel import run_many as _rm
-
-            _run_many = _rm
         self.timings["serial_ticks"] += 1
-        _run_many(list(self._shards.values()), _step_shard, workers=0)
+        # Iterate a snapshot: an attach or detach made during an
+        # interval must not change this tick's step order.
+        for nm in list(self._shards.values()):
+            nm.control_interval()
 
     def _tick_parallel(self, pool) -> None:
         self._epoch += 1

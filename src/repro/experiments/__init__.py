@@ -40,7 +40,7 @@ from repro.experiments.parallel import (
     run_many_report,
 )
 from repro.experiments.report import ProgressReporter, render_table
-from repro.experiments.tracing import MetricTracer
+from repro.obs.tracer import MetricTracer
 
 __all__ = [
     "ChaosResult",

@@ -9,6 +9,7 @@ peak-normalization used throughout the paper's figures.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Deque, Iterable, Optional, Sequence
 
@@ -106,11 +107,10 @@ def group_std(values: Iterable[float]) -> float:
     single VM is undefined and must not trigger the detector.
     Non-finite members are ignored (a VM with no samples yet).
     """
-    arr = np.asarray([v for v in values if v is not None], dtype=float)
-    arr = arr[np.isfinite(arr)]
-    if arr.size < 2:
+    vals = [v for v in values if v is not None and math.isfinite(v)]
+    if len(vals) < 2:
         return 0.0
-    return float(np.std(arr))
+    return float(np.std(np.asarray(vals, dtype=float)))
 
 
 def safe_ratio(numerator: float, denominator: float, default: float = 0.0) -> float:

@@ -256,9 +256,6 @@ class TimeSeries:
         return values
 
     # ------------------------------------------------------------- internals
-    #: Kept as a static alias of the module-level helper for back-compat.
-    _nearest_index = staticmethod(nearest_index)
-
     def _times_view(self) -> np.ndarray:
         if self._view_t is None:
             v = self._buf_t[self._start:self._end]

@@ -12,8 +12,7 @@ docs/OBSERVABILITY.md):
   (``repro obs export``);
 * :class:`SpanRecorder` — ring-buffered control-interval span tracing
   with JSONL export;
-* :class:`MetricTracer` — the periodic raw-counter sampler (moved here
-  from ``repro.experiments.tracing``).
+* :class:`MetricTracer` — the periodic raw-counter sampler.
 """
 
 from repro.obs.exposition import parse_exposition, render_text, snapshot

@@ -14,8 +14,8 @@ and the CI smoke job; it is not a general Prometheus parser.
 
 Surfaces covered: MetricPlane columns (latest value per VM × metric and
 drop counters), MonitorStats, ControlPlaneStats, per-host identifier
-fast/full/fallback counters, breaker state + counts, ladder mode +
-degradations/recoveries, shard-pool deaths/respawns/fallbacks,
+fast/full/fallback/flat-skip counters, breaker state + counts, ladder
+mode + degradations/recoveries, shard-pool deaths/respawns/fallbacks,
 coordinator tick/ticket-free counters, incident ledger and span
 recorder totals, result-cache hits/misses and SupervisorStats.
 """
@@ -116,7 +116,8 @@ def _snapshot_host(families: Dict[str, Family], host: str, nm,
     ident = nm.identifier
     for name, value in (("fast_updates", ident.fast_updates),
                         ("full_recomputes", ident.full_recomputes),
-                        ("fallbacks", ident.fallbacks)):
+                        ("fallbacks", ident.fallbacks),
+                        ("flat_skips", ident.flat_skips)):
         _add(_fam(families, f"repro_identifier_{name}_total", "counter",
                   f"Incremental-Pearson {name} count."), labels, value)
     _add(_fam(families, "repro_actuations_total", "counter",

@@ -7,9 +7,7 @@ surfaces PerfCloud does (cgroup counters through libvirt, device
 utilizations) plus simulator-side truth that a real deployment would not
 have (useful for validating the monitor itself).
 
-Lives in the obs layer so the repo has one sampling surface; the
-historical import path ``repro.experiments.tracing`` remains as a thin
-compatibility shim.
+Lives in the obs layer so the repo has one sampling surface.
 """
 
 from __future__ import annotations

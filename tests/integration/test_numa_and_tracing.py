@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.experiments.harness import TestbedConfig, build_testbed, run_until
-from repro.experiments.tracing import MetricTracer
+from repro.obs.tracer import MetricTracer
 from repro.hardware.numa import NumaMemorySystem, numa_isolate
 from repro.hardware.specs import R630
 from repro.workloads.datagen import sparkbench_synthetic

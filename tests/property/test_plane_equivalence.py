@@ -1,19 +1,23 @@
 """Property tests for the columnar metric plane and incremental identifier.
 
-Three exact-equivalence oracles, each driven over randomized sample
-streams:
+Four exact-equivalence oracles, each driven over randomized inputs:
 
 * the incremental identifier must produce *identical* (``==``, not
   approximate) scores to :func:`aligned_pearson_many` at every interval,
   across missing suspect samples, <`corr_min_samples` abstention,
-  capacity eviction, pruning, series resets and too-dense grids;
+  capacity eviction, pruning, series resets, too-dense grids and flat
+  victim windows;
 * the detector's masked-column read path (``plane=``) must produce
   identical :class:`DetectionResult`s and deviation histories to the
   per-VM dict path;
 * a :class:`PlaneSeries` must answer the whole ``TimeSeries`` read API
   exactly like a ``TimeSeries`` fed the same (time, value) stream,
-  including under column eviction, pruning and VM removal.
+  including under column eviction, pruning and VM removal;
+* ``group_std`` must return bitwise what its numpy finite-mask form
+  returned, over groups mixing ``None``, NaN, ±inf and finite members.
 """
+
+import struct
 
 import numpy as np
 from hypothesis import given, settings
@@ -25,6 +29,7 @@ from repro.core.identification import AntagonistIdentifier
 from repro.core.monitor import PLANE_METRICS, VmSample
 from repro.metrics.correlation import MissingPolicy, aligned_pearson_many
 from repro.metrics.plane import MetricPlane
+from repro.metrics.stats import group_std
 from repro.metrics.timeseries import TimeSeries
 
 _N_SUSPECTS = 3
@@ -127,6 +132,143 @@ def test_incremental_identifier_uses_fast_path_in_steady_state():
             assert got == want
     assert identifier.fallbacks == 0
     assert identifier.fast_updates > identifier.full_recomputes > 0
+
+
+#: Victim levels for explicit flat runs.  A window of zeros or of a small
+#: constant has a sum of squares of exactly 0.0.  At window 7 the inexact
+#: large levels (1e10 / 3, 7e9 + 0.3) leave rounding residue above the
+#: Pearson guard, so those windows must fall through to real scoring.
+_FLAT_LEVELS = (0.0, 2.5, -1.0, 1e10, 1e10 / 3, 7e9 + 0.3)
+
+_flat_runs = st.lists(
+    st.tuples(
+        st.one_of(st.none(), st.sampled_from(_FLAT_LEVELS)),  # None: varying
+        st.integers(min_value=1, max_value=10),  # run length in intervals
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    runs=_flat_runs,
+    window=st.sampled_from([2, 3, 4, 7, 8]),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_identifier_matches_oracle_across_flat_victim_runs(runs, window, seed):
+    """identify() == aligned_pearson_many() through flat victim windows
+    (zero, constant, large constant) interleaved with varying ones."""
+    config = PerfCloudConfig(corr_window=window, corr_min_samples=2)
+    identifier = AntagonistIdentifier(config)
+    victim = TimeSeries(name="victim")
+    suspects = {f"s{i}": TimeSeries(name=f"s{i}") for i in range(_N_SUSPECTS)}
+    rng = np.random.default_rng(seed)
+    k = 0
+    for level, length in runs:
+        for _ in range(length):
+            k += 1
+            t = 5.0 * k
+            victim.append(t, float(rng.random()) if level is None else level)
+            for series in suspects.values():
+                if rng.random() < 0.8:  # the rest stay missing (scored as 0)
+                    series.append(t, float(rng.random()))
+            got = identifier.identify("io", victim, suspects, now=t).correlations
+            want = aligned_pearson_many(
+                victim, suspects, window=window, policy=MissingPolicy.ZERO
+            )
+            assert got == want
+
+
+def test_large_constant_victim_window_falls_through():
+    """A constant window whose rounding residue clears the guard is
+    scored, not skipped."""
+    config = PerfCloudConfig(corr_window=7, corr_min_samples=2)
+    identifier = AntagonistIdentifier(config)
+    victim = TimeSeries(name="victim")
+    suspects = {"s0": TimeSeries(name="s0")}
+    for k in range(7):
+        t = 5.0 * (k + 1)
+        victim.append(t, 7e9 + 0.3)
+        suspects["s0"].append(t, float(k % 3))
+    identifier.identify("io", victim, suspects, now=t)
+    assert identifier.flat_skips == 0
+    assert identifier.full_recomputes == 1
+
+
+class _Untouchable:
+    """A suspect series whose ``lookup``, ``value_at`` and every other
+    attribute fail the test when read."""
+
+    def __getattribute__(self, name):
+        raise AssertionError(f"flat victim read suspect attribute {name!r}")
+
+
+def test_flat_victim_touches_no_suspect_and_drops_cached_state():
+    config = PerfCloudConfig(corr_window=4, corr_min_samples=3)
+    identifier = AntagonistIdentifier(config)
+    victim = TimeSeries(name="victim")
+    suspects = {f"s{i}": TimeSeries(name=f"s{i}") for i in range(3)}
+    rng = np.random.default_rng(7)
+    t = 0.0
+
+    def advance(value: float) -> None:
+        nonlocal t
+        t += 5.0
+        victim.append(t, value)
+        for series in suspects.values():
+            series.append(t, float(rng.random()))
+
+    for _ in range(6):  # varying: cached alignments exist
+        advance(float(rng.random()))
+        identifier.identify("io", victim, suspects, now=t)
+    assert identifier.fast_updates > 0
+    for _ in range(config.corr_window):  # the window turns flat
+        advance(0.0)
+    untouchable = {vm: _Untouchable() for vm in suspects}
+    for _ in range(2):
+        skips = identifier.flat_skips
+        got = identifier.identify("io", victim, untouchable, now=t)
+        assert got.correlations == {vm: 0.0 for vm in suspects}
+        assert identifier.flat_skips == skips + 1
+    assert not identifier._inc  # the victim's cached alignments are gone
+    # The first non-flat interval realigns every suspect from scratch.
+    advance(1.0)
+    recomputes = identifier.full_recomputes
+    got = identifier.identify("io", victim, suspects, now=t).correlations
+    assert identifier.full_recomputes == recomputes + len(suspects)
+    assert got == aligned_pearson_many(
+        victim, suspects, window=4, policy=MissingPolicy.ZERO
+    )
+
+
+def _group_std_numpy(values) -> float:
+    """``group_std`` as first written: a numpy finite mask, then np.std."""
+    arr = np.asarray([v for v in values if v is not None], dtype=float)
+    arr = arr[np.isfinite(arr)]
+    if arr.size < 2:
+        return 0.0
+    return float(np.std(arr))
+
+
+_group_members = st.tuples(
+    st.sampled_from([0, 1, 2, 5, 9]).flatmap(
+        lambda n: st.lists(
+            st.floats(min_value=-1e12, max_value=1e12), min_size=n, max_size=n
+        )
+    ),
+    st.lists(
+        st.sampled_from([None, float("nan"), float("inf"), float("-inf")]),
+        max_size=4,
+    ),
+).flatmap(lambda parts: st.permutations(parts[0] + parts[1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(members=_group_members)
+def test_group_std_matches_numpy_form_bitwise(members):
+    got = group_std(iter(members))
+    assert struct.pack("<d", got) == struct.pack("<d", _group_std_numpy(members))
 
 
 _metric_val = st.floats(min_value=0.0, max_value=1e3, allow_nan=False)

@@ -12,7 +12,7 @@ from repro.experiments.harness import (
     run_until,
 )
 from repro.experiments.report import format_pct, format_series, render_table
-from repro.experiments.tracing import MetricTracer
+from repro.obs.tracer import MetricTracer
 from repro.workloads.antagonists import FioRandomRead
 
 

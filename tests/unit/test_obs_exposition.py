@@ -101,6 +101,8 @@ def test_snapshot_covers_every_counter_surface(live):
         "repro_monitor_samples_dropped_total",
         "repro_identifier_fast_updates_total",
         "repro_identifier_full_recomputes_total",
+        "repro_identifier_fallbacks_total",
+        "repro_identifier_flat_skips_total",
         "repro_actuations_total",
         "repro_caps_active",
         # metric plane
