@@ -741,8 +741,75 @@ def bench_dataplane(repeat: int = 3) -> Dict[str, float]:
     }
 
 
+def _control_host(active: bool):
+    """One host under a manually stepped node manager.
+
+    Quiet: one idle high-priority VM and two idle low ones.  Active: a
+    three-VM victim app (two OLTP, one CPU-bound), an episodic fio
+    antagonist and an idle bystander — every interval detects, and
+    identification and CUBIC control run once the fio episodes start.
+    """
+    from repro.cloud.nova import CloudManager
+    from repro.core.node_manager import NodeManager
+    from repro.virt.cluster import Cluster
+    from repro.virt.vm import Priority
+    from repro.workloads.antagonists import (
+        FioRandomRead, SysbenchCpu, SysbenchOltp,
+    )
+
+    sim = Simulator(dt=1.0, seed=3)
+    cluster = Cluster(sim)
+    cluster.add_host("h0")
+    cloud = CloudManager(cluster)
+    if active:
+        drivers = (SysbenchOltp(duration_s=None), SysbenchOltp(duration_s=None),
+                   SysbenchCpu())
+        for j, driver in enumerate(drivers):
+            cloud.boot(f"app-{j}", priority=Priority.HIGH, app_id="victim",
+                       host="h0").attach_workload(driver)
+        cloud.boot("ant", host="h0").attach_workload(
+            FioRandomRead(on_s=40.0, off_s=30.0))
+        cloud.boot("idle", host="h0")
+    else:
+        cloud.boot("app", priority=Priority.HIGH, app_id="app", host="h0")
+        for j in range(2):
+            cloud.boot(f"low-{j}", host="h0")
+    return sim, NodeManager(sim, "h0", cloud, autostart=False)
+
+
+def _control_us(active: bool, warmup: int, intervals: int) -> float:
+    """µs per ``control_interval``, the data plane stepped untimed between."""
+    sim, nm = _control_host(active)
+    step = nm.config.interval_s
+    spent = 0.0
+    for k in range(warmup + intervals):
+        sim.run_for(step)
+        t0 = time.perf_counter()
+        nm.control_interval()
+        if k >= warmup:
+            spent += time.perf_counter() - t0
+    return spent / intervals * 1e6
+
+
+def bench_control(repeat: int = 3) -> Dict[str, float]:
+    """The node manager's whole control interval, per host.
+
+    Informational (no floor): the fixed per-host cost of sample → detect
+    → identify → control on a quiet 3-VM host and an active 5-VM host,
+    best of ``repeat`` fresh worlds stepped through real intervals.
+    """
+    runs = range(max(1, repeat))
+    return {
+        "control.quiet_us_per_interval": min(
+            _control_us(False, warmup=4, intervals=60) for _ in runs),
+        "control.active_us_per_interval": min(
+            _control_us(True, warmup=12, intervals=60) for _ in runs),
+    }
+
+
 #: name -> benchmark callable(repeat) returning {metric: value}.
 MICRO_BENCHMARKS = {
+    "control": bench_control,
     "dataplane": bench_dataplane,
     "timeseries": bench_timeseries_lookup,
     "identifier": bench_identifier,

@@ -135,6 +135,15 @@ class CloudManager:
             for vm in self.cluster.vms_on_host(host_name)
         ]
 
+    def placement_version(self, host_name: str) -> int:
+        """Changes whenever ``instances_on_host(host_name)`` may have.
+
+        The answer depends only on placement and on VM attributes fixed
+        at boot, so an agent may reuse its last query while the version
+        stands.
+        """
+        return self.cluster.placement_version(host_name)
+
     def hosts(self) -> List[str]:
         """Names of all physical servers."""
         return sorted(self.cluster.hosts)

@@ -42,7 +42,6 @@ so deployments force ``workers=0`` whenever an injector is wired in.
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 from typing import Dict, Optional
 
 from repro.sim.engine import Simulator
@@ -155,6 +154,7 @@ class ShardedControlPlane:
         # hosts skip the round-trip entirely (ticket-free ticks) — both
         # fall through to the phase-C serial path, so where a ticket
         # runs never changes what it computes.  Pool-bound tickets carry
+        # the plane's row mapping, for the worker's view of it, and
         # victim-signal tails so the worker can close any history gap
         # the skipped ticks left in its replica.
         assignments: Dict[int, list] = {}
@@ -170,9 +170,10 @@ class ShardedControlPlane:
             if self.ticket_free and nm.quiet_interval(ctx):
                 skipped += 1
                 continue
-            assignments.setdefault(slot, []).append(
-                replace(ctx.ticket, victim_tails=nm.victim_tails(ctx.ticket))
-            )
+            assignments.setdefault(slot, []).append(ctx.ticket._replace(
+                rows=nm.monitor.plane.row_mapping(),
+                victim_tails=nm.victim_tails(ctx.ticket),
+            ))
         results = pool.compute(assignments) if assignments else {}
         t2 = time.perf_counter()
 

@@ -12,6 +12,7 @@ recursive form is used::
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -42,7 +43,7 @@ class Ewma:
     def update(self, sample: float) -> float:
         """Fold in ``sample`` and return the new smoothed value."""
         x = float(sample)
-        if not np.isfinite(x):
+        if not math.isfinite(x):
             raise ValueError(f"EWMA update with non-finite sample {sample!r}")
         if self._state is None:
             self._state = x

@@ -106,20 +106,23 @@ class MetricPlane:
             raise ValueError(
                 f"non-monotonic ingest: {now!r} after {self._grid[self._end - 1]!r}"
             )
+        row_of = self._row_of
         for vm in samples:
-            if vm not in self._row_of:
+            if vm not in row_of:
                 self._register(vm)
         if self._end == self._grid.size:
             self._make_room()
+        # Bound after any growth above, which replaces the storage.
+        vals, mask = self._vals, self._mask
         j = self._end
         self._grid[j] = t
         for m in self.metrics:
-            self._mask[m][:, j] = False
+            mask[m][:, j] = False
         for vm, metrics in samples.items():
-            row = self._row_of[vm]
+            row = row_of[vm]
             for m, value in metrics.items():
-                self._vals[m][row, j] = float(value)
-                self._mask[m][row, j] = True
+                vals[m][row, j] = float(value)
+                mask[m][row, j] = True
         self._end += 1
         if self._end - self._start > self.capacity:
             self._evict_columns(1)

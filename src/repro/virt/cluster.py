@@ -40,6 +40,9 @@ class Cluster:
         #: 1,000-host scale while returning exactly the order the old
         #: full scan over ``self.vms`` produced.
         self._placement: Dict[str, Dict[str, VM]] = {}
+        #: Per-host placement version, bumped whenever a VM arrives on or
+        #: leaves that host — lets per-host readers cache inventory.
+        self._placement_version: Dict[str, int] = {}
         self.fabric = NetworkFabric({})
         #: Every guest of every host, as one columnar table.
         self.table = GuestTable()
@@ -55,6 +58,7 @@ class Cluster:
         host = PhysicalHost(name, spec or self.default_spec, self.sim.rng)
         self.hosts[name] = host
         self._placement[name] = {}
+        self._placement_version[name] = 0
         self.fabric.add_host(name, host.spec.nic.bytes_per_s)
         self.table.add_host(host)
         return host
@@ -83,6 +87,7 @@ class Cluster:
         host.attach(vm)
         self.vms[name] = vm
         self._placement[host_name][name] = vm
+        self._placement_version[host_name] += 1
         return vm
 
     def destroy_vm(self, name: str) -> None:
@@ -90,6 +95,7 @@ class Cluster:
         vm = self._vm(name)
         self._host(vm.host_name).detach(name)
         self._placement[vm.host_name].pop(name, None)
+        self._placement_version[vm.host_name] += 1
         del self.vms[name]
 
     def migrate_vm(self, name: str, new_host: str) -> None:
@@ -100,6 +106,8 @@ class Cluster:
         target = self._host(new_host)
         self._host(vm.host_name).detach(name)
         self._placement[vm.host_name].pop(name, None)
+        self._placement_version[vm.host_name] += 1
+        self._placement_version[new_host] += 1
         target.attach(vm)
         vm.set_host(new_host, target.spec.freq_hz, vm.boot_time)
         # Rebuild the target index in global boot order (migrations are
@@ -113,6 +121,15 @@ class Cluster:
         """All VMs currently placed on ``host_name`` (global boot order)."""
         self._host(host_name)
         return list(self._placement[host_name].values())
+
+    def placement_version(self, host_name: str) -> int:
+        """A counter that changes whenever ``host_name``'s VM set does.
+
+        ``vms_on_host`` returns the same VMs in the same order for as
+        long as it is unchanged.
+        """
+        self._host(host_name)
+        return self._placement_version[host_name]
 
     # ------------------------------------------------------------------ step
     def step(self, dt: float) -> None:
