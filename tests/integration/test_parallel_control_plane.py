@@ -117,3 +117,54 @@ def test_worker_sigkill_midrun_stays_byte_identical():
 
     pc.close()
     assert set(_repro_shm_segments()) <= before
+
+
+
+def _fleet(shard_workers):
+    """Two hosts, each a three-VM victim app beside a fio antagonist."""
+    from repro.cloud.nova import CloudManager
+    from repro.core.perfcloud import PerfCloud
+    from repro.sim.engine import Simulator
+    from repro.virt.cluster import Cluster
+    from repro.virt.vm import Priority
+    from repro.workloads.antagonists import (
+        FioRandomRead, SysbenchCpu, SysbenchOltp,
+    )
+
+    sim = Simulator(dt=1.0, seed=3)
+    cluster = Cluster(sim)
+    cloud = CloudManager(cluster)
+    for i in range(2):
+        host = cluster.add_host(f"server{i}").name
+        for j, driver in enumerate((SysbenchOltp(duration_s=None),
+                                    SysbenchOltp(duration_s=None),
+                                    SysbenchCpu())):
+            cloud.boot(f"app{i}-{j}", priority=Priority.HIGH, app_id="app",
+                       host=host).attach_workload(driver)
+        cloud.boot(f"ant{i}", host=host).attach_workload(FioRandomRead())
+    return sim, cloud, PerfCloud(sim, cloud, shard_workers=shard_workers)
+
+
+def test_departed_antagonist_state_matches_serial_under_the_pool():
+    """The parent forgets a departed antagonist's TTL; with the parent
+    re-judging every absorbed verdict, a pooled run through a destroy
+    and a same-name idle reboot stays byte-identical to serial."""
+
+    def outcome(shard_workers):
+        sim, cloud, pc = _fleet(shard_workers)
+        agent = pc.node_managers["server0"]
+        sim.run_for(150.0)
+        assert "ant0" in agent.identifier.remembered()
+        cloud.delete("ant0")
+        sim.run_for(10.0)
+        assert "ant0" not in agent.identifier.remembered()
+        cloud.boot("ant0", host="server0")  # idle namesake
+        sim.run_for(60.0)
+        fp = _fingerprint(pc) + tuple(
+            tuple(sorted(pc.node_managers[h].identifier._last_hit.items()))
+            for h in sorted(pc.node_managers)
+        )
+        pc.close()
+        return fp
+
+    assert outcome(2) == outcome(0)
