@@ -11,11 +11,7 @@ Four scenarios, deliberately spanning the scales the paper evaluates:
   (2 hosts / 12 workers / 8 jobs); ``full=True`` runs the figure's
   default 5-host / 50-worker / 30-job dimensions instead;
 * ``cluster_scale`` — the control plane alone at datacenter width
-  (250/500/1,000 hosts, one agent each, no framework jobs), serial and
-  across a shard-worker pool.  The ``workersN_speedup_vs_naive`` ratio
-  (serial wall / pooled wall at the widest point) is machine-honest: on
-  a single-core box it sits near 1.0 and the gate only fails it if
-  pooling ever makes stepping *slower* than serial beyond tolerance.
+  (250/500/1,000 hosts, one agent each, no framework jobs).
 
 All scenarios are seed-fixed: wall-clock differences between revisions
 measure the code, not the workload draw.
@@ -24,7 +20,7 @@ measure the code, not the workload draw.
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence
 
 __all__ = ["run_macro", "bench_cluster_scale", "macro_cases", "profile_macro"]
 
@@ -90,8 +86,8 @@ def bench_fig11_scale(full: bool = False) -> Dict[str, float]:
     return {key: min(walls)}
 
 
-def _cluster_scale_run(num_hosts: int, shard_workers: int, *,
-                       ticks: int, low_per_host: int, seed: int) -> float:
+def _cluster_scale_run(num_hosts: int, *, ticks: int, low_per_host: int,
+                       seed: int) -> float:
     """Wall-clock seconds to step ``num_hosts`` agents for ``ticks``
     control intervals (the cluster carries one idle HIGH app VM plus
     ``low_per_host`` idle LOW VMs per host, so every interval pays the
@@ -114,7 +110,7 @@ def _cluster_scale_run(num_hosts: int, shard_workers: int, *,
         for j in range(low_per_host):
             cloud.boot(f"low{i:04d}-{j}", "m1.large",
                        priority=Priority.LOW, host=host)
-    with PerfCloud(sim, cloud, shard_workers=shard_workers) as pc:
+    with PerfCloud(sim, cloud) as pc:
         interval = pc.config.interval_s
         t0 = time.perf_counter()
         sim.run_for(ticks * interval + 1.0)
@@ -125,35 +121,20 @@ def _cluster_scale_run(num_hosts: int, shard_workers: int, *,
 def bench_cluster_scale(
     hosts: Sequence[int] = (250, 500, 1000),
     *,
-    shard_workers: int = 8,
     ticks: int = 8,
     low_per_host: int = 2,
     seed: int = 7,
     repeat: int = 2,
 ) -> Dict[str, float]:
-    """Control-plane stepping cost vs cluster width, serial and pooled.
-
-    The serial-vs-pooled ratio is best-of-``repeat`` on both sides so a
-    single noisy run (CI boxes) cannot swing the gated metric.
-    """
-    def best(n: int, workers: int) -> float:
-        return min(
-            _cluster_scale_run(n, workers, ticks=ticks,
-                               low_per_host=low_per_host, seed=seed)
+    """Control-plane stepping cost vs cluster width (best-of-``repeat``)."""
+    return {
+        f"cluster_scale.hosts{n}_s": min(
+            _cluster_scale_run(n, ticks=ticks, low_per_host=low_per_host,
+                               seed=seed)
             for _ in range(max(1, repeat))
         )
-
-    out: Dict[str, float] = {}
-    widths: Tuple[int, ...] = tuple(hosts)
-    for n in widths:
-        out[f"cluster_scale.hosts{n}_s"] = best(n, 0)
-    widest = max(widths)
-    pooled = best(widest, shard_workers)
-    out[f"cluster_scale.hosts{widest}_workers{shard_workers}_s"] = pooled
-    out[f"cluster_scale.workers{shard_workers}_speedup_vs_naive"] = (
-        out[f"cluster_scale.hosts{widest}_s"] / pooled
-    )
-    return out
+        for n in hosts
+    }
 
 
 def macro_cases(full_fig11: bool = False) -> Dict[str, Callable[[], Dict[str, float]]]:

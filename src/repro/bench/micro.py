@@ -268,87 +268,6 @@ def bench_plane(repeat: int = 3) -> Dict[str, float]:
     }
 
 
-def bench_shm_plane(repeat: int = 3) -> Dict[str, float]:
-    """Shared-memory plane: handle attach plus per-epoch reader refresh.
-
-    The writer lands fig-scale intervals (24 VMs × 5 metrics) into a
-    :class:`~repro.metrics.plane.SharedMetricPlane`; a reader attached
-    through its picklable handle re-syncs per published epoch and pulls
-    the two detector columns — the exact per-ticket hot path of a shard
-    worker.  Absolute timings only (there is no naive reference: the
-    in-process plane *is* the serial path, and the two must read
-    identically — asserted below — so a ratio would measure nothing).
-    """
-    from repro.metrics.plane import SharedMetricPlane
-
-    metrics = ("iowait_ratio", "cpi", "io_bytes_ps", "llc_miss_rate",
-               "cpu_usage_cores")
-    n_vms, intervals = 24, 150
-    names = [f"vm{i}" for i in range(n_vms)]
-    members = names[:12]
-    rng = np.random.default_rng(5)
-    vals = rng.random((intervals, n_vms, len(metrics)))
-    batches = [
-        {
-            names[i]: {m: float(vals[k, i, j]) for j, m in enumerate(metrics)}
-            for i in range(n_vms)
-        }
-        for k in range(intervals)
-    ]
-
-    with SharedMetricPlane(metrics, name_tag="bench") as plane:
-        for k, batch in enumerate(batches):
-            plane.ingest(_INTERVAL * (k + 1), batch)
-        plane.publish(1)
-        handle = plane.handle()
-        rows = plane.row_mapping()
-
-        attach_calls = 50
-
-        def run_attach() -> int:
-            for _ in range(attach_calls):
-                handle.attach().close()
-            return attach_calls
-
-        t_attach, u_attach = _best_of(run_attach, repeat)
-
-        reader = handle.attach()
-        try:
-            # Sanity: the reattached view must read exactly the writer's.
-            reader.refresh_worker_view(rows, 1)
-            for vm in members:
-                mine = plane.series(vm, "iowait_ratio").values()
-                theirs = reader.series(vm, "iowait_ratio").values()
-                if not np.array_equal(mine, theirs):
-                    raise AssertionError(
-                        f"shm reader diverged from writer on {vm}"
-                    )
-
-            epoch = [1]
-
-            def run_refresh() -> int:
-                calls = 200
-                for _ in range(calls):
-                    k = epoch[0] % len(batches)
-                    epoch[0] += 1
-                    plane.ingest(_INTERVAL * (intervals + epoch[0]),
-                                 batches[k])
-                    plane.publish(epoch[0])
-                    reader.refresh_worker_view(rows, epoch[0])
-                    reader.latest("iowait_ratio", members)
-                    reader.latest("cpi", members)
-                return calls
-
-            t_refresh, u_refresh = _best_of(run_refresh, repeat)
-        finally:
-            reader.close()
-
-    return {
-        "shm.attach_us": t_attach / u_attach * 1e6,
-        "shm.refresh_us_per_epoch": t_refresh / u_refresh * 1e6,
-    }
-
-
 def bench_rolling_stats(repeat: int = 3) -> Dict[str, float]:
     """Incremental rolling mean/std vs recomputing the tail every push."""
     n, window = 20000, 12
@@ -450,7 +369,7 @@ def bench_obs(repeat: int = 3) -> Dict[str, float]:
 
     # The gate is tight (<3%) while single 0.3s walls jitter by ±10% on
     # shared CI machines, so the measurement defends itself four ways:
-    # a discarded warmup pair absorbs one-off allocator/page costs; the
+    # a discarded warmup pair takes the one-off allocator/page costs; the
     # remaining pairs alternate their off/on order (a monotone machine
     # slowdown — thermal ramp, turbo decay — would otherwise always
     # charge the second leg, which a fixed order would make "on" every
@@ -814,7 +733,6 @@ MICRO_BENCHMARKS = {
     "timeseries": bench_timeseries_lookup,
     "identifier": bench_identifier,
     "plane": bench_plane,
-    "shm": bench_shm_plane,
     "rolling": bench_rolling_stats,
     "engine": bench_engine_events,
     "obs": bench_obs,

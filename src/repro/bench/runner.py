@@ -77,8 +77,8 @@ def _cpus_available() -> Optional[int]:
     """CPUs this process may actually use (cgroup/affinity-aware).
 
     ``os.cpu_count()`` reports the machine; a containerized CI runner is
-    often pinned to fewer cores, which is what the pool-speedup metrics
-    (``cluster_scale.workersN_*``) physically depend on.
+    often pinned to fewer cores, which is what any process-parallel
+    reading physically depends on.
     """
     try:
         return len(os.sched_getaffinity(0))

@@ -54,8 +54,7 @@ _FIGURES: Dict[str, tuple] = {
     "fig2": (lambda a: figures.fig2(seeds=(a.seed, a.seed + 4),
                                     **_parallel_kwargs(a, "fig2")),
              "STREAM (memory) interference (Fig. 2)", False, True),
-    "fig3": (lambda a: figures.fig3(seed=a.seed,
-                                    shard_workers=a.shard_workers),
+    "fig3": (lambda a: figures.fig3(seed=a.seed),
              "iowait-ratio deviation signal (Fig. 3)", False, False),
     "fig4": (lambda a: figures.fig4(seed=a.seed),
              "CPI deviation signal (Fig. 4)", False, False),
@@ -66,7 +65,6 @@ _FIGURES: Dict[str, tuple] = {
     "fig7": (lambda a: figures.fig7(),
              "CUBIC growth regions (Fig. 7)", False, False),
     "fig9": (lambda a: figures.fig9(seeds=(a.seed, a.seed + 4),
-                                    shard_workers=a.shard_workers,
                                     **_parallel_kwargs(a, "fig9")),
              "dynamic control: default/static/PerfCloud (Fig. 9)", False, True),
     "fig10": (lambda a: figures.fig10(seed=a.seed),
@@ -74,7 +72,6 @@ _FIGURES: Dict[str, tuple] = {
     "fig11": (
         lambda a: figures.fig11(
             seed=a.seed,
-            shard_workers=a.shard_workers,
             **(dict(num_hosts=15, num_workers=150, num_mr_jobs=100,
                     num_spark_jobs=100, num_antagonist_pairs=15,
                     horizon=40000.0) if a.full_scale else {}),
@@ -91,19 +88,6 @@ _FIGURES: Dict[str, tuple] = {
         ),
         "variability across repeats (Fig. 12)", True, True),
 }
-
-
-#: Commands whose simulations deploy PerfCloud and therefore accept
-#: ``--shard-workers`` (the in-simulation control-plane compute pool,
-#: orthogonal to ``--workers``' whole-run fan-out).
-_SHARDED_FIGURES = {"fig3", "fig9", "fig11"}
-
-
-def _add_shard_workers_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--shard-workers", type=int, default=0, metavar="N",
-                   help="compute processes per PerfCloud control plane "
-                        "inside each simulation (0 = in-process; "
-                        "byte-identical results either way)")
 
 
 def _csv_floats(text: str) -> tuple:
@@ -285,8 +269,7 @@ def _run_scenarios(args: argparse.Namespace) -> int:
         return 2
     result = run_corpus(specs, workers=args.workers, cache_dir=args.cache_dir,
                         progress=ProgressReporter("scenarios"),
-                        supervise=args.supervised, resume=args.resume,
-                        shard_workers=args.shard_workers)
+                        supervise=args.supervised, resume=args.resume)
     print(result.render())
     if args.resume:
         print(f"resume manifest {args.resume}: {result.resumed} tasks "
@@ -329,8 +312,7 @@ def _run_obs(args: argparse.Namespace) -> int:
         seed=args.seed, num_workers=6, framework="mapreduce",
         antagonists=(("fio", None),),
     ))
-    pc = bed.deploy_perfcloud(shard_workers=args.shard_workers,
-                              telemetry=telemetry)
+    pc = bed.deploy_perfcloud(telemetry=telemetry)
     job = bed.jobtracker.submit(terasort(), teragen(args.size_mb),
                                 num_reducers=10)
     run_until(bed.sim, lambda: job.completion_time is not None, horizon=4000)
@@ -486,7 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="write the scored matrix as JSON")
     _add_parallel_args(scenarios)
     _add_resilience_args(scenarios)
-    _add_shard_workers_arg(scenarios)
     obs = sub.add_parser(
         "obs",
         help="run a telemetry-on mitigation scenario and export its "
@@ -511,7 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
     obs.add_argument("--report", action="store_true",
                      help="print the human-readable incident report "
                           "instead of the exposition")
-    _add_shard_workers_arg(obs)
     bench = sub.add_parser(
         "bench",
         help="hot-path benchmark suite + performance-regression gate "
@@ -558,8 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="use the paper's exact dimensions (slow)")
         if supports_parallel:
             _add_parallel_args(p)
-        if name in _SHARDED_FIGURES:
-            _add_shard_workers_arg(p)
     return parser
 
 

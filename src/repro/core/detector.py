@@ -50,10 +50,6 @@ class InterferenceDetector:
         self.config = config
         #: Deviation history per app: {"io": TimeSeries, "cpi": TimeSeries}.
         self.signals: Dict[str, Dict[str, TimeSeries]] = {}
-        #: Most recent :class:`DetectionResult` per app — an O(1) read
-        #: for per-tick consumers (the coordinator's ticket-free skip
-        #: decision, incident reporting) without touching the arrays.
-        self.last: Dict[str, DetectionResult] = {}
         #: Incremental rolling mean/std of each deviation signal over the
         #: identification window — updated in O(1) as samples arrive, so
         #: per-interval consumers (adaptive thresholds, reporting) never
@@ -106,10 +102,7 @@ class InterferenceDetector:
     ) -> DetectionResult:
         """Threshold one app's deviations and append its signal history.
 
-        The shared tail of :meth:`evaluate`: a parent absorbing a pool
-        worker's :class:`~repro.core.verdict.ControlVerdict` replays this
-        with the worker-computed deviations, keeping both replicas of the
-        detector state in lockstep.
+        The tail of :meth:`evaluate`, once per application.
         """
         result = DetectionResult(
             app_id=app_id,
@@ -135,21 +128,7 @@ class InterferenceDetector:
             }
         roll["io"].push(iowait_std)
         roll["cpi"].push(cpi_std)
-        self.last[app_id] = result
         return result
-
-    def in_deviation(self, app_ids) -> bool:
-        """Whether any listed app's latest deviation crossed a threshold.
-
-        Apps with no history yet count as quiet — safe for the
-        ticket-free skip decision, which only routes *where* the compute
-        half runs (parent vs pool), never whether it runs.
-        """
-        for app_id in app_ids:
-            result = self.last.get(app_id)
-            if result is not None and result.any_contention:
-                return True
-        return False
 
     def signal(self, app_id: str, kind: str) -> TimeSeries:
         """Deviation history: ``kind`` is ``"io"`` or ``"cpi"``."""

@@ -214,11 +214,9 @@ class AntagonistIdentifier:
     ) -> Set[str]:
         """Threshold + TTL pass over already-computed correlations.
 
-        The state-mutating tail of :meth:`identify`: a parent absorbing a
-        pool worker's verdict replays this with the worker's scores, so
-        ``_last_hit`` stays in lockstep across the replicas.  Antagonists
-        are always a subset of ``correlations`` — a VM outside the
-        current suspect set is never resurrected by its TTL alone.
+        The state-mutating tail of :meth:`identify`.  Antagonists are
+        always a subset of ``correlations`` — a VM outside the current
+        suspect set is never resurrected by its TTL alone.
         """
         antagonists: Set[str] = set()
         for vm, r in correlations.items():

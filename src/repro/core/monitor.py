@@ -120,16 +120,12 @@ class PerformanceMonitor:
         self,
         conn: Connection,
         config: PerfCloudConfig,
-        *,
-        plane: Optional[MetricPlane] = None,
     ) -> None:
         self.conn = conn
         self.config = config
         self._state: Dict[str, _VmMonitorState] = {}
-        #: Columnar store of every (metric, VM) sample on this host.  An
-        #: injected plane (e.g. a shared-memory one for the parallel
-        #: control plane) must carry exactly ``PLANE_METRICS``.
-        self.plane = plane if plane is not None else MetricPlane(PLANE_METRICS)
+        #: Columnar store of every (metric, VM) sample on this host.
+        self.plane = MetricPlane(PLANE_METRICS)
         #: Full sample history per VM (a stable PlaneSeries per metric),
         #: for the identifier and for experiment reporting.
         self.history: Dict[str, Dict[str, PlaneSeries]] = {}

@@ -38,7 +38,7 @@ from repro.core.config import PerfCloudConfig
 from repro.core.cubic import CapState, CubicController
 from repro.core.detector import InterferenceDetector
 from repro.core.identification import AntagonistIdentifier
-from repro.core.monitor import PLANE_METRICS, PerformanceMonitor, VmSample
+from repro.core.monitor import PerformanceMonitor, VmSample
 from repro.core.verdict import ComputeTicket, ControlVerdict, compute_verdict
 from repro.metrics.timeseries import TimeSeries
 from repro.resilience.breaker import GuardedConnection
@@ -86,7 +86,7 @@ class ControlPlaneStats:
 
 @dataclass
 class IntervalContext:
-    """Parent-side carry between the begin and complete interval halves."""
+    """What one interval's ``_begin`` hands on to ``_complete``."""
 
     now: float
     mode: str
@@ -109,7 +109,6 @@ class NodeManager:
         fault_injector=None,
         scheduler=None,
         resilience: Optional[ResiliencePolicy] = None,
-        shared_plane: bool = False,
         telemetry=None,
     ) -> None:
         self.sim = sim
@@ -133,13 +132,7 @@ class NodeManager:
         #: Static fallback caps by (vm_name, resource): absolute cap, or
         #: ``None`` once marked for release (cleared by reconciliation).
         self.static_caps: Dict[Tuple[str, str], Optional[float]] = {}
-        plane = None
-        if shared_plane:
-            # Shared-memory rings so pool workers read columns zero-copy.
-            from repro.metrics.plane import SharedMetricPlane
-
-            plane = SharedMetricPlane(PLANE_METRICS, name_tag=host_name)
-        self.monitor = PerformanceMonitor(self.conn, self.config, plane=plane)
+        self.monitor = PerformanceMonitor(self.conn, self.config)
         self.detector = InterferenceDetector(self.config)
         self.identifier = AntagonistIdentifier(self.config)
         #: Cap-control law; Eq. 1 CUBIC unless an alternative is injected
@@ -204,16 +197,18 @@ class NodeManager:
     def control_interval(self) -> None:
         """One pass of Algorithm 1; a degraded facade never kills the task.
 
-        The serial composition of the two interval halves: the same
-        ``begin → compute → complete`` sequence the parallel coordinator
-        runs, with the compute half executed in-process (state already
-        mutated, so the verdict is applied without absorption).
+        Three steps: ``_begin`` samples and snapshots the inventory,
+        :func:`~repro.core.verdict.compute_verdict` runs detection and
+        identification, and ``_complete`` actuates and accounts.
         """
         try:
             ctx = self._begin()
             if ctx is not None:
-                verdict = self._compute_ctx(ctx)
-                self._complete(ctx, verdict, absorb=False)
+                verdict = compute_verdict(
+                    self.detector, self.identifier, self.monitor.plane,
+                    ctx.ticket, ctx.samples, self.monitor.history, self.config,
+                )
+                self._complete(ctx, verdict)
         except LibvirtError:
             # Every libvirt call inside the interval is individually
             # guarded; this is the last line of defence keeping the
@@ -222,49 +217,7 @@ class NodeManager:
             return
         self.stats.intervals_completed += 1
 
-    # -------------------------------------------------------- interval halves
-    def begin_interval(self, epoch: int = 0) -> Optional[IntervalContext]:
-        """Phase A of a coordinated tick: sample + inventory snapshot.
-
-        Returns ``None`` when the interval needs no compute half (the
-        monitoring rung, or no high-priority application) — the interval
-        is then already fully accounted.  Otherwise the returned context
-        carries the :class:`~repro.core.verdict.ComputeTicket` to hand a
-        pool worker and everything :meth:`complete_interval` needs.
-        """
-        try:
-            ctx = self._begin(epoch)
-        except LibvirtError:
-            self.stats.intervals_aborted += 1
-            return None
-        if ctx is None:
-            self.stats.intervals_completed += 1
-        return ctx
-
-    def complete_interval(
-        self, ctx: IntervalContext, verdict: ControlVerdict, *,
-        absorb: bool = True,
-    ) -> None:
-        """Phase C: apply a verdict (actuation + accounting).
-
-        ``absorb=True`` replays the verdict's deviations and scores into
-        this agent's detector/identifier (the verdict was computed on a
-        worker's replica); ``absorb=False`` means the compute ran on this
-        very agent and the state is already mutated.
-        """
-        try:
-            self._complete(ctx, verdict, absorb=absorb)
-        except LibvirtError:
-            self.stats.intervals_aborted += 1
-            return
-        self.stats.intervals_completed += 1
-
-    def compute_and_complete(self, ctx: IntervalContext) -> None:
-        """Serial fallback for one ticket: compute in-process, then apply."""
-        verdict = self._compute_ctx(ctx)
-        self.complete_interval(ctx, verdict, absorb=False)
-
-    def _begin(self, epoch: int = 0) -> Optional[IntervalContext]:
+    def _begin(self) -> Optional[IntervalContext]:
         now = self.sim.now
         mode = self._update_mode(now)
         self._refresh_inventory()
@@ -297,8 +250,6 @@ class NodeManager:
         history = self.monitor.history
         low = self._low
         ticket = ComputeTicket(
-            host=self.host_name,
-            epoch=epoch,
             now=now,
             app_members=app_members,
             suspects=tuple(name for name in low if name in history),
@@ -330,82 +281,20 @@ class NodeManager:
         self._present = frozenset(i.name for i in instances)
         self._inventory_version = version
 
-    # -------------------------------------------------- coordinator helpers
-    def quiet_interval(self, ctx: IntervalContext) -> bool:
-        """Whether this interval's compute may skip the pool round-trip.
-
-        Quiet means no app's latest deviation crossed a threshold and no
-        cap (CUBIC or static) is in force — identification and control
-        will be cheap, so the coordinator runs them parent-side instead
-        of paying the ticket round-trip (a routing decision only; the
-        serial-fallback path computes identical results).
-        """
-        return (
-            not self.cap_states
-            and not self.static_caps
-            and not self.detector.in_deviation(
-                app for app, _ in ctx.ticket.app_members
-            )
-        )
-
-    def victim_tails(self, ticket: ComputeTicket) -> tuple:
-        """Victim-signal tails for a pool-bound ticket.
-
-        Long enough (``max(corr_window, corr_min_samples)``) that a
-        worker whose replica missed any number of ticket-free ticks can
-        reconstruct everything the compute half reads: ``identify``
-        consumes only ``victim.tail(corr_window)``, and the
-        enough-history check saturates at ``corr_min_samples`` on both
-        sides once that many entries exist.
-        """
-        length = max(self.config.corr_window, self.config.corr_min_samples)
-        tails = []
-        for app_id, _ in ticket.app_members:
-            sig = self.detector.signals.get(app_id)
-            if sig is None:
-                continue
-            entry = [app_id]
-            for kind in ("io", "cpi"):
-                times, values = sig[kind].tail(length)
-                entry.append((tuple(float(t) for t in times),
-                              tuple(float(v) for v in values)))
-            tails.append(tuple(entry))
-        return tuple(tails)
-
-    def _compute_ctx(self, ctx: IntervalContext) -> ControlVerdict:
-        """Run the compute half on this agent's own (live) state."""
-        history = self.monitor.history
-        return compute_verdict(
-            self.detector,
-            self.identifier,
-            self.monitor.plane,
-            ctx.ticket,
-            ctx.samples,
-            lambda name, metric: history[name][metric],
-            self.config,
-        )
-
-    def _complete(
-        self, ctx: IntervalContext, verdict: ControlVerdict, *, absorb: bool
-    ) -> None:
+    def _complete(self, ctx: IntervalContext, verdict: ControlVerdict) -> None:
         now, mode = ctx.now, ctx.mode
         tel = self.telemetry
         spans = tel.spans if tel is not None else None
         if spans is not None:
-            # Compute-half spans measured by whichever side ran
-            # compute_verdict (a pool worker or this very agent) and
-            # carried home on the verdict.
+            # Spans compute_verdict measured and carried on the verdict.
             for kind, dur in verdict.spans:
                 spans.record(kind, self.host_name, now, dur)
-        if absorb:
-            for app_id, iowait_std, cpi_std in verdict.detections:
-                self.detector.record(now, app_id, iowait_std, cpi_std)
         if not verdict.do_identify:
             # Nothing to identify or throttle; detection history still
             # accumulates (the paper's "running alone" baselines).
             self._finish_interval(now, mode)
             if tel is not None and tel.ledger is not None:
-                tel.ledger.observe(self, now, verdict, ())
+                tel.ledger.observe(self, now, verdict)
             return
 
         io_contention = any(
@@ -418,25 +307,11 @@ class NodeManager:
         t0 = time.perf_counter() if spans is not None else 0.0
         io_antagonists: Set[str] = set()
         cpu_antagonists: Set[str] = set()
-        #: (identification, judged antagonist set) pairs — on the absorb
-        #: path the parent re-judges from the verdict's correlations (the
-        #: worker-side sets are ignored), so this list holds the
-        #: authoritative outcome on both paths; the incident ledger is
-        #: built from it.
-        judged: List[tuple] = []
         for ident in verdict.identifications:
-            if absorb:
-                ants = (
-                    self.identifier.judge(ident.resource, ident.correlations, now)
-                    if ident.ran else set()
-                )
-            else:
-                ants = ident.antagonists
-            judged.append((ident, ants))
             if ident.resource == "io":
-                io_antagonists |= ants
+                io_antagonists |= ident.antagonists
             else:
-                cpu_antagonists |= ants
+                cpu_antagonists |= ident.antagonists
         if spans is not None:
             t1 = time.perf_counter()
             spans.record("identifier.judge", self.host_name, now, t1 - t0)
@@ -461,7 +336,7 @@ class NodeManager:
             spans.record("actuation", self.host_name, now,
                          time.perf_counter() - t1)
         if tel is not None and tel.ledger is not None:
-            tel.ledger.observe(self, now, verdict, judged)
+            tel.ledger.observe(self, now, verdict)
 
     def _finish_interval(self, now: float, mode: str = FULL) -> None:
         if mode == STATIC_CAP:

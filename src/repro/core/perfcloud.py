@@ -55,19 +55,17 @@ class PerfCloud:
         #: Optional :class:`~repro.resilience.ladder.ResiliencePolicy`
         #: giving every agent a circuit breaker + degradation ladder.
         self.resilience = resilience
-        # A fault injector draws from per-call fault streams, so the
-        # phase-A/phase-C call reordering of a parallel tick would shift
-        # its draws relative to the serial schedule; chaos runs therefore
-        # force the (byte-identical) serial path.
-        if fault_injector is not None:
-            shard_workers = 0
-        #: Compute-half processes per coordinator tick (0 = in-process).
-        self.shard_workers = int(shard_workers)
+        # The benchmark harness (benchmarks/e2e/workloads.py) is the only
+        # caller that passes ``shard_workers``, always 0; the parameter
+        # goes when that harness next changes.  Every control interval
+        # runs in this process.
+        if shard_workers != 0:
+            raise ValueError(
+                f"shard_workers must be 0, got {shard_workers!r}"
+            )
         #: One coordinator tick steps every agent as an independent shard
         #: (creation order), replacing per-host periodic events.
-        self.control_plane = ShardedControlPlane(
-            sim, self.config.interval_s, workers=self.shard_workers
-        )
+        self.control_plane = ShardedControlPlane(sim, self.config.interval_s)
         self.node_managers: Dict[str, NodeManager] = {}
         #: Agents decommissioned mid-run (:meth:`remove_host`), kept so
         #: run-level summaries still include everything they counted.
@@ -79,7 +77,6 @@ class PerfCloud:
                 fault_injector=fault_injector,
                 scheduler=self.control_plane,
                 resilience=resilience,
-                shared_plane=self.shard_workers > 0,
                 telemetry=telemetry,
             )
 
@@ -106,9 +103,9 @@ class PerfCloud:
         """Decommission an agent whose host is leaving (or whose node
         manager died) mid-run.
 
-        The agent's control loop stops and its plane is released, but
-        the object is retained in :attr:`retired`: every run-level
-        aggregate — :meth:`survival_summary`, :meth:`resilience_summary`,
+        The agent's control loop stops, but the object is retained in
+        :attr:`retired`: every run-level aggregate —
+        :meth:`survival_summary`, :meth:`resilience_summary`,
         :meth:`throttle_events` — keeps folding in what it counted while
         alive, instead of silently dropping a dead host's history.
         """
@@ -116,7 +113,6 @@ class PerfCloud:
         if nm is None:
             raise KeyError(f"no agent deployed on {host_name!r}")
         nm.stop()
-        nm.monitor.plane.close()
         self.retired[host_name] = nm
         return nm
 
@@ -133,16 +129,8 @@ class PerfCloud:
             nm.stop()
 
     def close(self) -> None:
-        """Stop agents and release pool + shared-memory resources.
-
-        Idempotent.  Shared planes unlink their ``/dev/shm`` segments
-        here; runs that never call it are covered by the segments'
-        atexit hooks, and SIGKILLed runs by the stale-segment sweep.
-        """
+        """End the deployment: stop every agent (idempotent)."""
         self.stop()
-        self.control_plane.shutdown()
-        for nm in self.node_managers.values():
-            nm.monitor.plane.close()
 
     def __enter__(self) -> "PerfCloud":
         return self

@@ -14,7 +14,6 @@ argument away.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -351,7 +350,6 @@ def _deviation_signal(
     antagonist: str,
     seed: int,
     size_mb: float,
-    shard_workers: int = 0,
 ) -> DeviationSignalResult:
     cfg_off = PerfCloudConfig(h_io=1e9, h_cpi=1e9)  # monitor, never actuate
 
@@ -361,7 +359,7 @@ def _deviation_signal(
             TestbedConfig(seed=seed, num_workers=6, framework=framework,
                           antagonists=ants)
         )
-        testbed.deploy_perfcloud(cfg_off, shard_workers=shard_workers)
+        testbed.deploy_perfcloud(cfg_off)
         job = _submit(testbed, kind, bench, size_mb)
         from repro.experiments.harness import run_until
 
@@ -401,12 +399,10 @@ def fig3(
     *,
     benchmarks: Sequence[str] = _MR_DEFAULT,
     size_mb: float = 640.0,
-    shard_workers: int = 0,
 ) -> Fig3Result:
     """Std of block-iowait ratio, alone vs. +fio (threshold 10)."""
     results = {
-        b: _deviation_signal("mapreduce", b, "io", "fio", seed, size_mb,
-                             shard_workers=shard_workers)
+        b: _deviation_signal("mapreduce", b, "io", "fio", seed, size_mb)
         for b in benchmarks
     }
     terasort_res = results.pop("terasort", next(iter(results.values())))
@@ -698,17 +694,16 @@ _FIG9_ANTAGONISTS = (("fio", None), ("stream", None), ("oltp", None),
 
 
 def _fig9_run(scheme: str, seed: int, size_mb: float,
-              shard_workers: int = 0, telemetry=None) -> tuple:
+              telemetry=None) -> tuple:
     testbed = build_testbed(
         TestbedConfig(seed=seed, num_workers=12, framework="spark",
                       antagonists=_FIG9_ANTAGONISTS)
     )
     monitor_only = PerfCloudConfig(h_io=1e9, h_cpi=1e9)
     if scheme == "perfcloud":
-        testbed.deploy_perfcloud(shard_workers=shard_workers,
-                                 telemetry=telemetry)
+        testbed.deploy_perfcloud(telemetry=telemetry)
     elif scheme == "static":
-        testbed.deploy_perfcloud(monitor_only, shard_workers=shard_workers)
+        testbed.deploy_perfcloud(monitor_only)
         stream_cores = float(testbed.antagonist_vms["stream"].vcpus)
         StaticCapPolicy(
             testbed.sim, testbed.cloud,
@@ -716,7 +711,7 @@ def _fig9_run(scheme: str, seed: int, size_mb: float,
             cpu_caps={"stream": (0.2, stream_cores)},
         )
     else:
-        testbed.deploy_perfcloud(monitor_only, shard_workers=shard_workers)
+        testbed.deploy_perfcloud(monitor_only)
     job = _submit(testbed, "spark", "logistic-regression", size_mb)
     from repro.experiments.harness import run_until
 
@@ -759,11 +754,11 @@ class _Fig9Task:
     size_mb: float
 
 
-def _fig9_task_runner(task: _Fig9Task, shard_workers: int = 0) -> tuple:
+def _fig9_task_runner(task: _Fig9Task) -> tuple:
     # Drop the node manager (an unpicklable object graph); fig10 calls
     # _fig9_run directly because it needs it.
     jct, sig_io, sig_cpi, ant_work, _ = _fig9_run(
-        task.scheme, task.seed, task.size_mb, shard_workers=shard_workers
+        task.scheme, task.seed, task.size_mb
     )
     return jct, sig_io, sig_cpi, ant_work
 
@@ -776,16 +771,11 @@ def fig9(
     workers: int = 0,
     cache_dir: Optional[str] = None,
     progress: Optional[Callable[[Progress], None]] = None,
-    shard_workers: int = 0,
 ) -> Fig9Result:
     """Small-scale dynamic-control comparison (Spark LR, 12 workers)."""
     tasks = [_Fig9Task(scheme=scheme, seed=s, size_mb=size_mb)
              for scheme in schemes for s in seeds]
-    # shard_workers rides on the runner, not the task: tasks are
-    # content-addressed cache keys, and N-vs-0 results are byte-identical
-    # so they must share cache entries.
-    runner = partial(_fig9_task_runner, shard_workers=shard_workers)
-    outcomes = iter(_fan_out(tasks, runner, workers=workers,
+    outcomes = iter(_fan_out(tasks, _fig9_task_runner, workers=workers,
                              cache_dir=cache_dir, progress=progress))
     jct = {}
     improvement = {}
@@ -884,7 +874,6 @@ def _run_mix(
     num_antagonist_pairs: int,
     mean_interarrival_s: float,
     horizon: float,
-    shard_workers: int = 0,
 ) -> tuple:
     """Run one workload mix under one scheme; returns per-logical-job JCTs
     keyed (kind, index) plus the merged utilization ledger."""
@@ -911,7 +900,7 @@ def _run_mix(
                 host=hosts[int(arng.integers(len(hosts)))],
             )
     if scheme == "perfcloud":
-        testbed.deploy_perfcloud(shard_workers=shard_workers)
+        testbed.deploy_perfcloud()
 
     mr_mix = facebook_like_mix("mapreduce", num_mr_jobs, rng,
                                mean_interarrival_s=mean_interarrival_s)
@@ -984,14 +973,13 @@ class _MixTask:
     horizon: float
 
 
-def _mix_task_runner(task: _MixTask, shard_workers: int = 0) -> tuple:
+def _mix_task_runner(task: _MixTask) -> tuple:
     return _run_mix(
         task.scheme, task.seed,
         num_hosts=task.num_hosts, num_workers=task.num_workers,
         num_mr_jobs=task.num_mr_jobs, num_spark_jobs=task.num_spark_jobs,
         num_antagonist_pairs=task.num_antagonist_pairs,
         mean_interarrival_s=task.mean_interarrival_s, horizon=task.horizon,
-        shard_workers=shard_workers,
     )
 
 
@@ -1009,7 +997,6 @@ def fig11(
     workers: int = 0,
     cache_dir: Optional[str] = None,
     progress: Optional[Callable[[Progress], None]] = None,
-    shard_workers: int = 0,
 ) -> Fig11Result:
     """Large-scale comparison: per-job degradation and efficiency.
 
@@ -1029,9 +1016,7 @@ def fig11(
     )
     tasks = [_MixTask(scheme=s, seed=seed, **kwargs)
              for s in ("ideal", *schemes)]
-    # shard_workers rides on the runner, not the task (see fig9).
-    runner = partial(_mix_task_runner, shard_workers=shard_workers)
-    outcomes = iter(_fan_out(tasks, runner, workers=workers,
+    outcomes = iter(_fan_out(tasks, _mix_task_runner, workers=workers,
                              cache_dir=cache_dir, progress=progress))
     ideal_jcts, _ = next(outcomes)
 

@@ -114,21 +114,18 @@ class Testbed:
         controller_factory=None,
         fault_injector=None,
         resilience=None,
-        shard_workers: int = 0,
         telemetry=None,
     ) -> PerfCloud:
         """Deploy one node-manager agent per host (optionally with an
         alternative cap-control law for ablations, a fault injector
         between the agents and their libvirt facades, a resilience
         policy giving each agent a circuit breaker and degradation
-        ladder, ``shard_workers`` compute processes stepping the
-        per-host control chains in parallel — byte-identical to 0 —
-        and/or a :class:`~repro.obs.telemetry.Telemetry` recording the
+        ladder and/or a :class:`~repro.obs.telemetry.Telemetry` recording the
         incident ledger and control-interval spans)."""
         self.perfcloud = PerfCloud(
             self.sim, self.cloud, config, controller_factory=controller_factory,
             fault_injector=fault_injector, resilience=resilience,
-            shard_workers=shard_workers, telemetry=telemetry,
+            telemetry=telemetry,
         )
         return self.perfcloud
 

@@ -34,16 +34,13 @@ oldest instants together.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.metrics.shm import ShmBlock, next_segment_name, sweep_stale_segments
 from repro.metrics.timeseries import lookup_nearest, nearest_index
 
-__all__ = ["MetricPlane", "SharedMetricPlane", "PlaneHandle", "PlaneSeries"]
+__all__ = ["MetricPlane", "PlaneSeries"]
 
 _LOOKUP_TOL = 1e-6
 
@@ -83,11 +80,8 @@ class MetricPlane:
         #: VM removal so a stale reader sees a consistent ``appended``.
         self._dropped: Dict[Tuple[str, str], int] = {}
         #: Sum of every per-series ``_dropped`` increment (eviction,
-        #: pruning *and* VM removal).  Shared-plane workers use it as a
-        #: conservative per-series proxy: unchanged total ⟹ no series
-        #: dropped anything, so the incremental-identification fast path
-        #: stays provably safe; a changed total merely forces the full
-        #: (bit-identical) realignment.
+        #: pruning *and* VM removal); exported as
+        #: ``repro_plane_dropped_total``.
         self.dropped_total = 0
         self._grid_view: Optional[np.ndarray] = None
 
@@ -199,39 +193,14 @@ class MetricPlane:
         """Evicted/pruned present cells of one (VM, metric) series."""
         return self._dropped.get((vm, metric), 0)
 
-    def row_mapping(self) -> Tuple[Tuple[str, int], ...]:
-        """Snapshot of the VM → row assignment (insertion order).
-
-        Ships inside compute tickets so a pool worker can rebuild
-        ``_row_of`` without sharing the dict itself.
-        """
-        return tuple(self._row_of.items())
-
-    # ------------------------------------------------------- shared-mode API
-    # No-ops on the in-process plane so callers never branch on the
-    # backing mode; SharedMetricPlane overrides all three.
-    def publish(self, epoch: int) -> None:
-        """Make the current state visible to attached readers."""
-
-    def close(self) -> None:
-        """Release any out-of-process resources."""
-
-    def __enter__(self) -> "MetricPlane":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     # ------------------------------------------------------------- internals
     def _alloc_storage(
         self, rows: int, cols: int
     ) -> Tuple[np.ndarray, Dict[str, np.ndarray], Dict[str, np.ndarray]]:
         """Allocate zeroed (grid, values, masks) storage of one shape.
 
-        The single growth/backing hook: every (re)allocation — initial
-        build, row doubling, column growth — funnels through here, so a
-        subclass can place the arrays anywhere (``SharedMetricPlane``
-        puts each allocation in a fresh shared-memory generation).
+        Every (re)allocation — initial build, row doubling, column
+        growth — funnels through here.
         """
         vals = {m: np.zeros((rows, cols)) for m in self.metrics}
         mask = {m: np.zeros((rows, cols), dtype=bool) for m in self.metrics}
@@ -309,284 +278,6 @@ class MetricPlane:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"MetricPlane(metrics={len(self.metrics)}, "
                 f"vms={len(self._row_of)}, cols={self._end - self._start})")
-
-
-# Header slots of a shared plane (one 8-byte int each).  EPOCH is written
-# last by ``publish`` and read first+last by ``refresh_worker_view`` — a
-# seqlock-style torn-read guard on top of the quiescent tick protocol.
-_H_GEN, _H_EPOCH, _H_VERSION, _H_START = 0, 1, 2, 3
-_H_END, _H_ROWS, _H_COLS, _H_DROPPED = 4, 5, 6, 7
-_HEADER_SLOTS = 8
-_HEADER_SIZE = _HEADER_SLOTS * 8
-
-#: One stale-segment sweep per process, at first shared-plane creation.
-_swept = False
-
-
-@dataclass(frozen=True)
-class PlaneHandle:
-    """Picklable reference to a :class:`SharedMetricPlane`.
-
-    Crosses process boundaries as a few strings; :meth:`attach` in the
-    receiving process maps the same physical pages zero-copy.
-    """
-
-    name_base: str
-    metrics: Tuple[str, ...]
-    capacity: int
-    directory: Optional[str] = None
-
-    def attach(self) -> "SharedMetricPlane":
-        """Map the plane read-only (worker mode) in this process."""
-        return SharedMetricPlane._attach(self)
-
-
-class SharedMetricPlane(MetricPlane):
-    """A MetricPlane whose rings live in shared memory.
-
-    The creating process is the single **writer**; any number of reader
-    processes attach the same segments (via fork inheritance or a
-    :class:`PlaneHandle`) and see the writer's columns zero-copy.
-
-    Storage is generational: every reallocation (row doubling, column
-    growth) lands in a fresh ``<base>.g<k>`` segment, so a reader forked
-    before a growth event reattaches the new generation by name instead
-    of chasing remapped pointers.  A fixed ``<base>.hdr`` segment holds
-    the cursors (generation, epoch, version, live region, shape, dropped
-    total); :meth:`publish` exposes a consistent snapshot at each tick
-    boundary and :meth:`refresh_worker_view` installs it in a reader.
-
-    Readers never mutate: ``ingest``/``prune_before``/``remove_vm`` are
-    refused in worker mode, and per-series ``dropped_of`` degrades to the
-    plane-wide :attr:`dropped_total` proxy (see its docstring — safe by
-    construction for the incremental identifier).
-    """
-
-    def __init__(
-        self,
-        metrics: Sequence[str],
-        capacity: int = 4096,
-        *,
-        name_tag: str = "plane",
-        directory: Optional[str] = None,
-    ) -> None:
-        global _swept
-        if not _swept:
-            _swept = True
-            sweep_stale_segments(directory)
-        self._directory = directory
-        self._name_base = next_segment_name(name_tag)
-        self._blocks: List[ShmBlock] = []
-        self._gen = -1
-        self._header_block: Optional[ShmBlock] = None
-        self._header: Optional[np.ndarray] = None
-        self._worker_mode = False
-        self._closed = False
-        super().__init__(metrics, capacity)
-        self.publish(0)
-
-    # ------------------------------------------------------------ allocation
-    def _block_size(self, rows: int, cols: int) -> int:
-        # float64 grid + per-metric float64 values, then the byte-wide
-        # masks last so every float64 region stays 8-byte aligned.
-        return cols * 8 + len(self.metrics) * rows * cols * 9
-
-    def _views_over(
-        self, block: ShmBlock, rows: int, cols: int
-    ) -> Tuple[np.ndarray, Dict[str, np.ndarray], Dict[str, np.ndarray]]:
-        buf = block.buf
-        grid = np.frombuffer(buf, dtype=np.float64, count=cols)
-        off = cols * 8
-        per = rows * cols
-        vals: Dict[str, np.ndarray] = {}
-        mask: Dict[str, np.ndarray] = {}
-        for m in self.metrics:
-            vals[m] = np.frombuffer(
-                buf, dtype=np.float64, count=per, offset=off
-            ).reshape(rows, cols)
-            off += per * 8
-        for m in self.metrics:
-            mask[m] = np.frombuffer(
-                buf, dtype=np.bool_, count=per, offset=off
-            ).reshape(rows, cols)
-            off += per
-        return grid, vals, mask
-
-    def _alloc_storage(self, rows, cols):
-        if self._worker_mode:
-            raise RuntimeError("worker-mode shared plane cannot allocate")
-        if self._header_block is None:
-            self._header_block = ShmBlock(
-                f"{self._name_base}.hdr", _HEADER_SIZE,
-                create=True, directory=self._directory,
-            )
-            self._header = np.frombuffer(self._header_block.buf, dtype=np.int64)
-        self._gen += 1
-        block = ShmBlock(
-            f"{self._name_base}.g{self._gen}", self._block_size(rows, cols),
-            create=True, directory=self._directory,
-        )
-        self._blocks.append(block)
-        # ftruncate zero-fills, matching the np.zeros base allocation.
-        return self._views_over(block, rows, cols)
-
-    # ------------------------------------------------------------- publishing
-    def handle(self) -> PlaneHandle:
-        """A picklable reference other processes can :meth:`attach`."""
-        return PlaneHandle(
-            self._name_base, self.metrics, self.capacity, self._directory
-        )
-
-    def publish(self, epoch: int) -> None:
-        """Expose the current cursors to readers; epoch written last."""
-        hdr = self._header
-        hdr[_H_GEN] = self._gen
-        hdr[_H_VERSION] = self.version
-        hdr[_H_START] = self._start
-        hdr[_H_END] = self._end
-        hdr[_H_ROWS] = len(self._vm_of_row)
-        hdr[_H_COLS] = self._grid.size
-        hdr[_H_DROPPED] = self.dropped_total
-        hdr[_H_EPOCH] = int(epoch)
-
-    # ------------------------------------------------------------ worker side
-    @classmethod
-    def _attach(cls, handle: PlaneHandle) -> "SharedMetricPlane":
-        self = cls.__new__(cls)
-        self.metrics = tuple(handle.metrics)
-        self.capacity = int(handle.capacity)
-        self.version = 0
-        self._start = 0
-        self._end = 0
-        self._grid = _EMPTY
-        self._vals = {}
-        self._mask = {}
-        self._row_of = {}
-        self._vm_of_row = []
-        self._free_rows = []
-        self._dropped = {}
-        self.dropped_total = 0
-        self._grid_view = None
-        self._directory = handle.directory
-        self._name_base = handle.name_base
-        self._blocks = []
-        self._gen = -1
-        self._worker_mode = True
-        self._closed = False
-        self._header_block = ShmBlock(
-            f"{handle.name_base}.hdr", _HEADER_SIZE,
-            create=False, directory=handle.directory,
-        )
-        self._header = np.frombuffer(self._header_block.buf, dtype=np.int64)
-        self.refresh_worker_view(())
-        return self
-
-    def enter_worker_mode(self) -> None:
-        """Flip a fork-inherited copy of the plane to reader semantics.
-
-        Called once in a pool worker right after fork: the inherited
-        object already maps the right segments (MAP_SHARED survives
-        fork), it must merely stop writing and proxy ``dropped_of``.
-        """
-        self._worker_mode = True
-
-    def refresh_worker_view(
-        self,
-        rows: Iterable[Tuple[str, int]],
-        epoch: Optional[int] = None,
-        *,
-        retries: int = 200,
-    ) -> None:
-        """Install the writer's published snapshot in this reader.
-
-        ``rows`` is the ticket's :meth:`MetricPlane.row_mapping`
-        snapshot; ``epoch`` (when given) is the tick the reader expects —
-        the read retries briefly until the header carries it untorn.
-        """
-        if not self._worker_mode:
-            raise RuntimeError("refresh_worker_view is a worker-mode call")
-        hdr = self._header
-        for attempt in range(retries):
-            e0 = int(hdr[_H_EPOCH])
-            gen = int(hdr[_H_GEN])
-            version = int(hdr[_H_VERSION])
-            start = int(hdr[_H_START])
-            end = int(hdr[_H_END])
-            nrows = int(hdr[_H_ROWS])
-            ncols = int(hdr[_H_COLS])
-            dropped = int(hdr[_H_DROPPED])
-            if int(hdr[_H_EPOCH]) == e0 and (epoch is None or e0 == epoch):
-                break
-            time.sleep(0.0005)
-        else:
-            raise RuntimeError(
-                f"plane {self._name_base!r}: epoch {epoch!r} never became "
-                f"readable (last seen {int(hdr[_H_EPOCH])})"
-            )
-        if gen != self._gen:
-            block = ShmBlock(
-                f"{self._name_base}.g{gen}", self._block_size(nrows, ncols),
-                create=False, directory=self._directory,
-            )
-            self._blocks.append(block)
-            self._grid, self._vals, self._mask = self._views_over(
-                block, nrows, ncols
-            )
-            self._gen = gen
-        self._start = start
-        self._end = end
-        self.version = version
-        self.dropped_total = dropped
-        self._row_of = dict(rows)
-        self._grid_view = None
-
-    def dropped_of(self, vm: str, metric: str) -> int:
-        if self._worker_mode:
-            return self.dropped_total
-        return super().dropped_of(vm, metric)
-
-    # ------------------------------------------------------------- guard rails
-    def ingest(self, now, samples):
-        if self._worker_mode:
-            raise RuntimeError("worker-mode shared plane is read-only")
-        super().ingest(now, samples)
-
-    def prune_before(self, cutoff):
-        if self._worker_mode:
-            raise RuntimeError("worker-mode shared plane is read-only")
-        return super().prune_before(cutoff)
-
-    def remove_vm(self, vm):
-        if self._worker_mode:
-            raise RuntimeError("worker-mode shared plane is read-only")
-        super().remove_vm(vm)
-
-    # --------------------------------------------------------------- lifetime
-    def close(self) -> None:
-        """Unmap every segment; the creating process also unlinks them.
-
-        Idempotent; the atexit hook on each block covers runs that never
-        call it, and :func:`~repro.metrics.shm.sweep_stale_segments`
-        covers SIGKILL.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        # Drop array views first so the mmaps can actually unmap.
-        self._grid = _EMPTY
-        self._vals = {}
-        self._mask = {}
-        self._grid_view = None
-        self._header = None
-        for block in self._blocks:
-            block.close()
-        if self._header_block is not None:
-            self._header_block.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        role = "reader" if self._worker_mode else "writer"
-        return (f"SharedMetricPlane({self._name_base!r}, {role}, "
-                f"gen={self._gen}, cols={self._end - self._start})")
 
 
 class PlaneSeries:

@@ -15,9 +15,9 @@ and the CI smoke job; it is not a general Prometheus parser.
 Surfaces covered: MetricPlane columns (latest value per VM × metric and
 drop counters), MonitorStats, ControlPlaneStats, per-host identifier
 fast/full/fallback/flat-skip counters, breaker state + counts, ladder
-mode + degradations/recoveries, shard-pool deaths/respawns/fallbacks,
-coordinator tick/ticket-free counters, incident ledger and span
-recorder totals, result-cache hits/misses and SupervisorStats.
+mode + degradations/recoveries, the coordinator tick counter, incident
+ledger and span recorder totals, result-cache hits/misses and
+SupervisorStats.
 """
 
 from __future__ import annotations
@@ -179,23 +179,8 @@ def _snapshot_resilience(families: Dict[str, Family],
 
 
 def _snapshot_control_plane(families: Dict[str, Family], plane) -> None:
-    timings = plane.timings
-    for key in ("parallel_ticks", "serial_ticks", "fallback_tickets",
-                "ticket_free"):
-        _add(_fam(families, f"repro_controlplane_{key}_total", "counter",
-                  f"Coordinator {key} count."), {}, timings.get(key, 0.0))
-    for key in ("begin_s", "compute_s", "complete_s"):
-        _add(_fam(families, f"repro_controlplane_{key}", "gauge",
-                  f"Cumulative wall-clock seconds in phase {key[:-2]}."),
-             {}, timings.get(key, 0.0))
-    pool = plane.pool_stats()
-    if pool is not None:
-        for key in ("worker_deaths", "respawns", "fallback_tickets"):
-            _add(_fam(families, f"repro_shardpool_{key}_total", "counter",
-                      f"Shard-pool {key} count."), {}, pool[key])
-        _add(_fam(families, "repro_shardpool_failed", "gauge",
-                  "Whether the shard pool has permanently failed."),
-             {}, int(pool["failed"]))
+    _add(_fam(families, "repro_controlplane_serial_ticks_total", "counter",
+              "Coordinator serial_ticks count."), {}, plane.ticks)
 
 
 def _snapshot_telemetry(families: Dict[str, Family], telemetry) -> None:

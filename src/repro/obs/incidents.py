@@ -10,14 +10,11 @@ degradation-ladder rung transitions that happened while the incident was
 open, and finally the interval where the deviation fell back under the
 threshold with no caps left in force.
 
-Determinism: the ledger is built exclusively from data that is identical
-between a serial interval and an absorbed pool verdict — the
-:class:`~repro.core.verdict.ControlVerdict` values, the judged
-antagonist sets the parent derives from them, and the node manager's
-``actions``/ladder state (actuation always runs parent-side).  It never
-reads wall-clock spans.  A run with ``shard_workers=N`` therefore
-produces a byte-identical ledger to a serial run (Hypothesis-enforced in
-``tests/property/test_obs_ledger_equivalence.py``).
+Determinism: the ledger is built exclusively from simulation data — the
+:class:`~repro.core.verdict.ControlVerdict` values (detections, scores,
+judged antagonist sets) and the node manager's ``actions``/ladder
+state.  It never reads wall-clock spans, so equal seeds give a
+byte-identical ledger.
 
 Keying: incidents are identified as ``{host}/{app_id}/{resource}#{seq}``
 with ``seq`` a per-(host, app, resource) ordinal, so scenario and chaos
@@ -149,18 +146,12 @@ class IncidentLedger:
         self._transition_cursor: Dict[str, int] = {}
 
     # -------------------------------------------------------------- feeding
-    def observe(self, nm, now: float, verdict, judged) -> None:
-        """Fold one completed control interval into the ledger.
-
-        ``judged`` pairs each of the verdict's identifications with the
-        antagonist set the parent actually used (worker-side sets are
-        ignored by the absorb path, so this is the authoritative value
-        on both the serial and the pooled path).
-        """
+    def observe(self, nm, now: float, verdict) -> None:
+        """Fold one completed control interval into the ledger."""
         host = nm.host_name
         self._consume_actions(nm, host)
         self._consume_transitions(nm, host)
-        idents = {(i.app_id, i.resource): (i, ants) for i, ants in judged}
+        idents = {(i.app_id, i.resource): i for i in verdict.identifications}
         h_io, h_cpi = nm.config.h_io, nm.config.h_cpi
         for app_id, iowait_std, cpi_std in verdict.detections:
             for resource, value, threshold in (
@@ -188,14 +179,12 @@ class IncidentLedger:
             inc.peak_value = value
             inc.peak_time = now
         entry: Dict[str, object] = {"t": now, "value": value}
-        pair = idents.get((app_id, resource))
-        if pair is not None:
-            ident, ants = pair
-            if ident.ran:
-                entry["correlations"] = dict(sorted(ident.correlations.items()))
-                entry["antagonists"] = sorted(ants)
-                for vm in ants:
-                    inc.identified.setdefault(vm, now)
+        ident = idents.get((app_id, resource))
+        if ident is not None and ident.ran:
+            entry["correlations"] = dict(sorted(ident.correlations.items()))
+            entry["antagonists"] = sorted(ident.antagonists)
+            for vm in ident.antagonists:
+                inc.identified.setdefault(vm, now)
         inc.intervals.append(entry)
         if not deviating and not self._caps_active(nm, resource):
             inc.resolved_time = now

@@ -15,10 +15,9 @@ hot path:
   wall-clock duration is measurement-only and never feeds back into the
   simulation (telemetry must not perturb figure outputs).
 
-Under ``shard_workers=N`` the compute-half spans are measured *inside*
-:func:`repro.core.verdict.compute_verdict` on whichever side ran it and
-carried home on the verdict pipe, so the recorder itself always lives in
-the parent and sees an identical span stream shape either way.
+The ``detector.evaluate`` and ``identifier.identify`` spans are measured
+inside :func:`repro.core.verdict.compute_verdict` and carried on its
+verdict to the node manager, which records them.
 """
 
 from __future__ import annotations

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import traceback
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.cache import ResultCache, code_version
@@ -51,23 +50,18 @@ def baseline_world(world: WorldDef) -> WorldDef:
     return replace(world, antagonists=(), faults=None)
 
 
-def run_scenario_task(task: ScenarioTask,
-                      shard_workers: int = 0) -> Dict[str, Any]:
+def run_scenario_task(task: ScenarioTask) -> Dict[str, Any]:
     """Module-level task runner (picklable; never raises).
 
     A crash inside the world builder or simulator is folded into an
     ``{"error": ...}`` outcome so one broken scenario cannot take down
     the rest of the corpus — the scorer turns it into a failed scenario
     with the traceback's last line as the reason.
-
-    ``shard_workers`` is runner state, not task state: tasks are
-    content-addressed cache keys, and N-vs-0 outcomes are byte-identical
-    so they must share cache entries.
     """
     from repro.scenarios.world import run_world
 
     try:
-        return run_world(task.world, shard_workers=shard_workers)
+        return run_world(task.world)
     except Exception as exc:
         last = traceback.format_exception_only(type(exc), exc)[-1].strip()
         return {"error": last}
@@ -218,7 +212,6 @@ def run_corpus(
     progress: Optional[Callable[[Progress], None]] = None,
     supervise: bool = False,
     resume: Optional[str] = None,
-    shard_workers: int = 0,
 ) -> CorpusResult:
     """Run and score a list of scenarios; returns the scored matrix.
 
@@ -234,9 +227,7 @@ def run_corpus(
     as the run progresses, and a re-invocation after a mid-flight kill
     re-executes zero finished tasks (requires ``cache_dir``; the
     manifest is scoped to this corpus + code version, so a changed
-    corpus starts clean).  ``shard_workers`` gives every PerfCloud
-    deployment *inside* each simulation a compute pool (orthogonal to
-    ``workers``, which fans whole scenarios).
+    corpus starts clean).
     """
     tasks: List[ScenarioTask] = []
     slots: List[Tuple[int, Optional[int]]] = []  # (scenario idx, baseline idx)
@@ -266,18 +257,16 @@ def run_corpus(
         )
         resumed = len(checkpoint)
 
-    runner = (run_scenario_task if shard_workers == 0 else
-              partial(run_scenario_task, shard_workers=shard_workers))
     if supervise:
         from repro.resilience.supervisor import run_many_supervised_report
 
         report = run_many_supervised_report(
-            tasks, runner, workers=workers,
+            tasks, run_scenario_task, workers=workers,
             cache=cache, progress=progress, checkpoint=checkpoint,
         )
     else:
         report = run_many_report(
-            tasks, runner, workers=workers,
+            tasks, run_scenario_task, workers=workers,
             cache=cache, progress=progress, checkpoint=checkpoint,
         )
     if checkpoint is not None:

@@ -215,14 +215,8 @@ def _submit_traffic(requests, jobtracker, spark, job_slots, sim) -> None:
                             name=f"submit-{req.benchmark}")
 
 
-def run_world(world: WorldDef, *, shard_workers: int = 0) -> Dict[str, Any]:
-    """Execute one world definition; return its outcome metrics.
-
-    ``shard_workers`` fans each control interval's compute half across a
-    process pool — byte-identical to 0 (and forced back to 0 whenever
-    the world wires in a fault injector; see
-    :class:`~repro.core.perfcloud.PerfCloud`).
-    """
+def run_world(world: WorldDef) -> Dict[str, Any]:
+    """Execute one world definition; return its outcome metrics."""
     wl = world.workload
     sim = Simulator(dt=world.dt, seed=world.seed)
     cluster = Cluster(sim)
@@ -326,7 +320,6 @@ def run_world(world: WorldDef, *, shard_workers: int = 0) -> Dict[str, Any]:
         telemetry = Telemetry(ledger=True, spans=False)
         perfcloud = PerfCloud(sim, cloud, world.policy.build_config(),
                               fault_injector=injector,
-                              shard_workers=shard_workers,
                               telemetry=telemetry)
 
     # ------------------------------------------------------------------ jobs

@@ -120,3 +120,43 @@ def test_add_host_deploys_new_agent(world):
     assert pc.node_managers["h2"] is nm
     with pytest.raises(ValueError):
         pc.add_host("h2")
+
+
+def test_perfcloud_runs_every_agent_in_process(world):
+    sim, _, cloud, _, _, _ = world
+    PerfCloud(sim, cloud, shard_workers=0).close()
+    with pytest.raises(ValueError, match="shard_workers must be 0"):
+        PerfCloud(sim, cloud, shard_workers=2)
+
+
+def test_departed_antagonist_state_is_forgotten_fleet_wide():
+    """Through the coordinator, a destroyed antagonist's TTL goes with
+    it, and an idle same-name reboot is never judged an antagonist."""
+    from repro.workloads.antagonists import SysbenchCpu, SysbenchOltp
+
+    sim = Simulator(dt=1.0, seed=3)
+    cluster = Cluster(sim)
+    cloud = CloudManager(cluster)
+    for i in range(2):
+        host = cluster.add_host(f"server{i}").name
+        for j, driver in enumerate((SysbenchOltp(duration_s=None),
+                                    SysbenchOltp(duration_s=None),
+                                    SysbenchCpu())):
+            cloud.boot(f"app{i}-{j}", priority=Priority.HIGH, app_id="app",
+                       host=host).attach_workload(driver)
+        cloud.boot(f"ant{i}", host=host).attach_workload(FioRandomRead())
+    pc = PerfCloud(sim, cloud)
+    agent = pc.node_managers["server0"]
+    sim.run_for(150.0)
+    assert "ant0" in agent.identifier.remembered()
+    cloud.delete("ant0")
+    sim.run_for(10.0)
+    assert "ant0" not in agent.identifier.remembered()
+    cloud.boot("ant0", host="server0")  # idle namesake
+    sim.run_for(60.0)
+    assert "ant0" not in agent.identifier.remembered()
+    assert not any(vm == "ant0" and t > 160.0
+                   for t, vm, _, cap in agent.actions if cap is not None)
+    # The other host's antagonist is untouched by server0's departure.
+    assert "ant1" in pc.node_managers["server1"].identifier.remembered()
+    pc.close()

@@ -507,7 +507,8 @@ def test_plane_series_reads_match_timeseries(steps, capacity):
     samples.  Plane capacity bounds the shared column count, so the
     oracle mimics column eviction with an equivalent prune — per-series
     contents must then match exactly, dropped/appended counters
-    included.
+    included.  The plane-wide ``dropped_total`` stays the sum of every
+    series' ``dropped_of`` across eviction, pruning and VM removal.
     """
     metrics = ("m0", "m1")
     vms = ("vmA", "vmB")
@@ -571,6 +572,7 @@ def test_plane_series_reads_match_timeseries(steps, capacity):
                 ovals, opres = ts.lookup(q)
                 assert np.array_equal(pvals, ovals)
                 assert np.array_equal(ppres, opres)
+        assert plane.dropped_total == _dropped_sum(plane, vms, metrics)
     # A removed VM reads as empty; its retained cells count as dropped.
     before = {
         (vm, m): (len(views[(vm, m)]), views[(vm, m)].dropped)
@@ -584,3 +586,8 @@ def test_plane_series_reads_match_timeseries(steps, capacity):
         assert len(ps) == 0
         assert ps.dropped == n + d
         assert ps.last_time is None and ps.last_value is None
+    assert plane.dropped_total == _dropped_sum(plane, vms, metrics)
+
+
+def _dropped_sum(plane, vms, metrics) -> int:
+    return sum(plane.dropped_of(vm, m) for vm in vms for m in metrics)

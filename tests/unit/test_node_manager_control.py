@@ -1,11 +1,15 @@
 """Direct unit tests of the node manager's control branches."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.cloud.nova import CloudManager
+from repro.core import node_manager
 from repro.core.config import PerfCloudConfig
 from repro.core.monitor import VmSample
 from repro.core.node_manager import NodeManager
+from repro.core.shards import ShardedControlPlane
 from repro.sim.engine import Simulator
 from repro.virt.cluster import Cluster
 from repro.virt.vm import Priority
@@ -104,9 +108,17 @@ def _expected_ticket_inventory(cloud, host, monitor):
     )
 
 
-def test_placement_changes_reach_the_agent_in_the_same_interval():
+def test_placement_changes_reach_the_agent_in_the_same_interval(monkeypatch):
     """Boot, destroy and migrate each bump the host's placement version,
     and the next interval's ticket matches a fresh inventory query."""
+    tickets = []
+    real = node_manager.compute_verdict
+
+    def spy(detector, identifier, plane, ticket, *rest):
+        tickets.append(ticket)
+        return real(detector, identifier, plane, ticket, *rest)
+
+    monkeypatch.setattr(node_manager, "compute_verdict", spy)
     sim = Simulator(dt=1.0, seed=0)
     cluster = Cluster(sim)
     cluster.add_host("h0")
@@ -136,14 +148,14 @@ def test_placement_changes_reach_the_agent_in_the_same_interval():
             assert (after != before) == moves
         sim.run_for(5.0)
         for host, nm in agents.items():
-            ctx = nm.begin_interval()
+            tickets.clear()
+            nm.control_interval()
             want = _expected_ticket_inventory(cloud, host, nm.monitor)
             if not want[0]:
-                assert ctx is None
+                assert not tickets
                 continue
-            ticket = ctx.ticket
+            [ticket] = tickets
             assert (ticket.app_members, ticket.suspects, ticket.do_identify) == want
-            nm.compute_and_complete(ctx)
 
 
 def test_departed_antagonist_loses_its_ttl():
@@ -179,3 +191,18 @@ def test_departed_antagonist_loses_its_ttl():
     interval()
     for resource in ("io", "cpu"):
         assert nm.identifier.judge(resource, {"ant": 0.0}, sim.now) == set()
+
+
+def test_attach_refuses_two_agents_on_one_host():
+    """Silent shard replacement would corrupt the deterministic step
+    order; it must raise instead."""
+    sim = Simulator(dt=1.0, seed=0)
+    plane = ShardedControlPlane(sim, 5.0)
+    nm_a = SimpleNamespace(host_name="server00")
+    nm_b = SimpleNamespace(host_name="server00")
+    plane.attach(nm_a)
+    plane.attach(nm_a)  # same object: idempotent
+    with pytest.raises(ValueError, match="already has an attached shard"):
+        plane.attach(nm_b)
+    plane.detach(nm_a)
+    plane.attach(nm_b)  # explicit detach first is the supported path

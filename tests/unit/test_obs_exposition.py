@@ -111,7 +111,6 @@ def test_snapshot_covers_every_counter_surface(live):
         "repro_plane_metric_latest",
         # coordinator
         "repro_controlplane_serial_ticks_total",
-        "repro_controlplane_ticket_free_total",
         # telemetry
         "repro_incidents_opened_total",
         "repro_incidents_resolved_total",
