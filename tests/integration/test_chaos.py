@@ -42,6 +42,23 @@ def test_different_seed_different_fault_trace():
     assert a.trace_digest != b.trace_digest
 
 
+#: ``repro chaos --seed N`` trace digests (first 16 hex characters) under
+#: the reference plan.  They move only when the order or the outcome of
+#: some fault draw changes; docs/ROBUSTNESS.md records them.
+_REFERENCE_DIGESTS = {
+    0: "a805a52696754d5c",
+    1: "4baad19d132421c4",
+    2: "03a20998bce0c580",
+    3: "65e05821a1d46ed2",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_REFERENCE_DIGESTS))
+def test_reference_chaos_digest_is_pinned(seed):
+    result = run_chaos(ChaosScenario(seed=seed, plan=default_fault_plan()))
+    assert result.trace_digest[:16] == _REFERENCE_DIGESTS[seed]
+
+
 def test_control_plane_survives_faulty_sampling():
     result = run_chaos(small())
     assert result.survived
