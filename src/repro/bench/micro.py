@@ -726,9 +726,55 @@ def bench_control(repeat: int = 3) -> Dict[str, float]:
     }
 
 
+def _sample_us(n_vms: int, active: bool, warmup: int, intervals: int) -> float:
+    """µs per ``PerformanceMonitor.sample`` on one ``n_vms``-guest host,
+    the data plane stepped untimed between samples.  Active hosts run a
+    fio antagonist on every other guest and sysbench-cpu on the rest."""
+    from repro.cloud.nova import CloudManager
+    from repro.core.monitor import PerformanceMonitor
+    from repro.virt.cluster import Cluster
+    from repro.workloads.antagonists import FioRandomRead, SysbenchCpu
+
+    sim = Simulator(dt=1.0, seed=3)
+    cluster = Cluster(sim)
+    cluster.add_host("h0")
+    cloud = CloudManager(cluster)
+    for i in range(n_vms):
+        vm = cloud.boot(f"vm{i:02d}", host="h0")
+        if active:
+            vm.attach_workload(FioRandomRead() if i % 2 else SysbenchCpu())
+    config = PerfCloudConfig()
+    monitor = PerformanceMonitor(cloud.connection("h0"), config)
+    spent = 0.0
+    for k in range(warmup + intervals):
+        sim.run_for(config.interval_s)
+        t0 = time.perf_counter()
+        monitor.sample(sim.now)
+        if k >= warmup:
+            spent += time.perf_counter() - t0
+    return spent / intervals * 1e6
+
+
+def bench_sample(repeat: int = 3) -> Dict[str, float]:
+    """One host's monitor pass: the batched facade read, deltas, EWMAs
+    and the plane row ingest.
+
+    Informational (no floor): a quiet 3-VM host (the fleet shape) and an
+    active 16-VM host (the fig. 9 shape), best of ``repeat`` fresh worlds.
+    """
+    runs = range(max(1, repeat))
+    return {
+        "sample.vms3_us_per_interval": min(
+            _sample_us(3, False, warmup=2, intervals=60) for _ in runs),
+        "sample.vms16_us_per_interval": min(
+            _sample_us(16, True, warmup=2, intervals=60) for _ in runs),
+    }
+
+
 #: name -> benchmark callable(repeat) returning {metric: value}.
 MICRO_BENCHMARKS = {
     "control": bench_control,
+    "sample": bench_sample,
     "dataplane": bench_dataplane,
     "timeseries": bench_timeseries_lookup,
     "identifier": bench_identifier,

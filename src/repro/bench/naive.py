@@ -291,14 +291,17 @@ class _NaiveEwma:
 
 
 class NaiveMonitor:
-    """The monitor's per-VM sampling loop as first written: fresh counter
-    and delta dicts every interval and a separate ``min()`` pass over the
-    deltas.  It reads the same libvirt facade calls in the same order as
-    :class:`~repro.core.monitor.PerformanceMonitor` and returns, per
-    interval, each VM's smoothed ``(iowait_ratio, cpi, io_bytes_ps,
-    llc_miss_rate, cpu_usage_cores)`` — the values the monitor's
-    ``VmSample`` and metric-plane column carry.  Like the monitor, it
-    divides a delta by every control interval it spans."""
+    """The monitor's per-VM sampling loop as first written: three
+    per-domain facade reads per VM, fresh counter and delta dicts every
+    interval and a separate ``min()`` pass over the deltas.  Behind the
+    fault injector and the breaker those reads are exactly the calls, in
+    the same order, that
+    :class:`~repro.core.monitor.PerformanceMonitor`'s batched
+    ``getAllDomainStats`` read makes.  Returns, per interval, each VM's
+    smoothed ``(iowait_ratio, cpi, io_bytes_ps, llc_miss_rate,
+    cpu_usage_cores)`` — the values the monitor's ``VmSample`` and
+    metric-plane cells carry.  Like the monitor, it divides a delta by
+    every control interval it spans."""
 
     def __init__(self, conn, config) -> None:
         self.conn = conn

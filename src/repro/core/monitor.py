@@ -13,17 +13,20 @@ to smooth out short-term variations in the data collected over 5 second
 intervals."
 
 The monitor talks exclusively to the libvirt facade — it would run
-unchanged against real libvirt.  It is hardened against a degraded
-facade: a ``LibvirtError`` on one domain's stats drops that VM for the
-interval (never the whole pass) and the VM's next delta is divided by
-every interval it spans, so a lost sample never inflates a rate; a
-cumulative counter running backwards (guest reboot) restarts that VM's
-delta cursor instead of emitting garbage; and both the per-VM cursor
-*and* the sample history are purged when a VM leaves the host.
+unchanged against real libvirt.  Each pass is one batched
+``getAllDomainStats()`` read (``virConnectGetAllDomainStats``): one
+``(domain, counters)`` record per guest.  It is hardened against a
+degraded facade: a domain whose read failed comes back with an empty
+record and drops that VM for the interval (never the whole pass), and the
+VM's next delta is divided by every interval it spans, so a lost sample
+never inflates a rate; a cumulative counter running backwards (guest
+reboot) restarts that VM's delta cursor instead of emitting garbage; and
+both the per-VM cursor *and* the sample history are purged when a VM
+leaves the host.
 
 Storage: one :class:`~repro.metrics.plane.MetricPlane` per monitor.  The
 whole interval lands as a single batched ``ingest(now, columns)`` call —
-one column across every (metric, VM) ring — instead of 5 TimeSeries
+one plane row across every (VM, metric) cell — instead of 5 TimeSeries
 appends per VM; ``history`` exposes the same dict-of-dicts read API as
 before via stable :class:`~repro.metrics.plane.PlaneSeries` facades.
 """
@@ -65,9 +68,6 @@ class MonitorStats:
     histories_purged: int = 0
     #: Stale samples pruned by the retention window.
     samples_pruned: int = 0
-    #: Per-VM samples that ran entirely on preallocated buffers (no
-    #: counter/delta/column dict construction this interval).
-    sample_buffers_reused: int = 0
 
 
 @dataclass
@@ -91,21 +91,16 @@ class VmSample:
 class _VmMonitorState:
     """Per-VM cursor over cumulative counters plus EWMA filters.
 
-    The cursor double-buffers its counter snapshots: ``prev`` and ``cur``
-    are two dicts swapped every interval and refilled in place, and the
-    per-interval delta and plane-column dicts are preallocated too — the
-    steady-state sampling pass constructs no dicts at all (only the
-    :class:`VmSample` returned to callers, who may retain it across
-    intervals).
+    The cursor is the VM's previous ``getAllDomainStats`` record and the
+    time it was read.
     """
+
+    __slots__ = ("prev", "prev_time", "iowait", "cpi", "io_bytes", "llc", "cpu")
 
     def __init__(self, alpha: float) -> None:
         self.prev: Optional[Dict[str, float]] = None
         #: When ``prev`` was read.
         self.prev_time = 0.0
-        self.cur: Dict[str, float] = {}
-        self.delta: Dict[str, float] = {}
-        self.col: Dict[str, float] = {}
         self.iowait = Ewma(alpha)
         self.cpi = Ewma(alpha)
         self.io_bytes = Ewma(alpha)
@@ -130,8 +125,6 @@ class PerformanceMonitor:
         #: for the identifier and for experiment reporting.
         self.history: Dict[str, Dict[str, PlaneSeries]] = {}
         self.stats = MonitorStats()
-        #: Reusable per-pass ingest batch (vm -> that VM's column buffer).
-        self._columns: Dict[str, Dict[str, float]] = {}
 
     def sample(self, now: float) -> Dict[str, VmSample]:
         """Collect one interval's smoothed metrics for every domain.
@@ -139,25 +132,21 @@ class PerformanceMonitor:
         A failing domain costs only its own sample: faults are isolated
         per VM, and a failed listing costs one pass (no purging happens
         on a pass whose inventory is unknown).  All samples land in the
-        metric plane as one batched column ingest.
+        metric plane as one batched row ingest.
         """
         out: Dict[str, VmSample] = {}
         try:
-            domains = self.conn.listAllDomains()
+            records = self.conn.getAllDomainStats()
         except LibvirtError:
             self.stats.list_failures += 1
             return out
-        columns = self._columns
-        columns.clear()
+        columns: Dict[str, Dict[str, float]] = {}
         present = set()
-        for dom in domains:
+        interval = self.config.interval_s
+        for dom, cur in records:
             name = dom.name()
             present.add(name)
-            try:
-                raw = dom.blkioStats()
-                perf = dom.perfStats()
-                cpu = dom.cpuStats()
-            except LibvirtError:
+            if not cur:
                 self.stats.samples_dropped += 1
                 continue
             st = self._state.get(name)
@@ -167,41 +156,43 @@ class PerformanceMonitor:
                 self.history[name] = {
                     k: self.plane.series(name, k) for k in PLANE_METRICS
                 }
-            # Refill this VM's counter buffer in place and swap it with
-            # the previous snapshot (double buffering: zero dict churn in
-            # steady state).
-            counters = st.cur
-            reused = bool(counters)
-            counters.clear()
-            counters.update(raw)
-            counters.update(perf)
-            counters.update(cpu)
             prev = st.prev
-            st.prev = counters
-            st.cur = prev if prev is not None else {}
             prev_time = st.prev_time
+            st.prev = cur
             st.prev_time = now
             if prev is None:
                 continue  # first observation: no delta yet
-            if reused:
-                self.stats.sample_buffers_reused += 1
 
             # The delta spans every control interval since this VM's
-            # previous snapshot: after a failed listing, a dropped read
-            # or a breaker refusal it covers two or more.  A fault-free
+            # previous record: after a failed listing, a dropped read or
+            # a breaker refusal it covers two or more.  A fault-free
             # interval divides by exactly ``interval_s``.
-            interval = self.config.interval_s
             dt = interval * max(1, round((now - prev_time) / interval))
-            d = st.delta
-            d.clear()
-            # One pass stores each delta and tracks their minimum with
-            # the very ``<`` comparisons ``min()`` makes, in its order.
-            lowest = None
-            for k, v in counters.items():
-                x = v - prev.get(k, 0.0)
-                d[k] = x
-                if lowest is None or x < lowest:
-                    lowest = x
+            # Deltas in blkio, perf, cpu order; ``lowest`` tracks their
+            # minimum with the very ``<`` comparisons ``min()`` makes.
+            ops = cur["io_serviced"] - prev["io_serviced"]
+            lowest = ops
+            wait = cur["io_wait_time_ms"] - prev["io_wait_time_ms"]
+            if wait < lowest:
+                lowest = wait
+            io_bytes = cur["io_service_bytes"] - prev["io_service_bytes"]
+            if io_bytes < lowest:
+                lowest = io_bytes
+            cycles = cur["cycles"] - prev["cycles"]
+            if cycles < lowest:
+                lowest = cycles
+            instr = cur["instructions"] - prev["instructions"]
+            if instr < lowest:
+                lowest = instr
+            refs = cur["llc_references"] - prev["llc_references"]
+            if refs < lowest:
+                lowest = refs
+            misses = cur["llc_misses"] - prev["llc_misses"]
+            if misses < lowest:
+                lowest = misses
+            cpu_time = cur["cpu_time_core_seconds"] - prev["cpu_time_core_seconds"]
+            if cpu_time < lowest:
+                lowest = cpu_time
             if lowest < -1e-6:
                 # Cumulative counters ran backwards: the guest rebooted
                 # (or the hypervisor reset its accounting).  Restart the
@@ -210,31 +201,24 @@ class PerformanceMonitor:
                 self.stats.counter_resets += 1
                 continue
 
-            iowait_ratio = safe_ratio(d["io_wait_time_ms"], d["io_serviced"], 0.0)
-            cpi = safe_ratio(d["cycles"], d["instructions"], 0.0)
-            io_bps = d["io_service_bytes"] / dt
-            cpu_cores = d["cpu_time_core_seconds"] / dt
-            active = d["instructions"] > 0
-            llc_rate = d["llc_misses"] / dt if active else None
-
+            active = instr > 0
             sample = VmSample(
                 time=now,
-                iowait_ratio=st.iowait.update(iowait_ratio),
-                cpi=st.cpi.update(cpi) if active else 0.0,
-                io_bytes_ps=st.io_bytes.update(io_bps),
-                llc_miss_rate=st.llc.update(llc_rate) if llc_rate is not None else None,
-                cpu_usage_cores=st.cpu.update(cpu_cores),
+                iowait_ratio=st.iowait.update(safe_ratio(wait, ops, 0.0)),
+                cpi=st.cpi.update(safe_ratio(cycles, instr, 0.0)) if active else 0.0,
+                io_bytes_ps=st.io_bytes.update(io_bytes / dt),
+                llc_miss_rate=st.llc.update(misses / dt) if active else None,
+                cpu_usage_cores=st.cpu.update(cpu_time / dt),
             )
             out[name] = sample
-            col = st.col
-            col.clear()
-            col["iowait_ratio"] = sample.iowait_ratio
-            col["cpi"] = sample.cpi
-            col["io_bytes_ps"] = sample.io_bytes_ps
-            col["cpu_usage_cores"] = sample.cpu_usage_cores
-            if sample.llc_miss_rate is not None:
+            col = columns[name] = {
+                "iowait_ratio": sample.iowait_ratio,
+                "cpi": sample.cpi,
+                "io_bytes_ps": sample.io_bytes_ps,
+                "cpu_usage_cores": sample.cpu_usage_cores,
+            }
+            if active:
                 col["llc_miss_rate"] = sample.llc_miss_rate
-            columns[name] = col
         if columns:
             self.plane.ingest(now, columns)
         # Forget VMs that left the host (migration / destroy): cursor,

@@ -26,7 +26,7 @@ from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
 from repro.faults.spec import CrashEvent, FaultPlan
-from repro.virt.libvirt_api import Connection, Domain, LibvirtError
+from repro.virt.libvirt_api import Connection, Domain, LibvirtError, per_domain_stats
 
 __all__ = ["FaultInjector", "FaultyConnection", "FaultyDomain"]
 
@@ -331,6 +331,10 @@ class FaultyConnection:
 
     def lookupByName(self, name: str) -> FaultyDomain:
         return FaultyDomain(self._inj, self._conn.lookupByName(name))
+
+    def getAllDomainStats(self) -> List[Tuple[FaultyDomain, Dict[str, float]]]:
+        # Per-domain reads, so each one draws its own faults in order.
+        return per_domain_stats(self.listAllDomains())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FaultyConnection({self._conn!r})"

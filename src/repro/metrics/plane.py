@@ -3,13 +3,14 @@
 The monitor historically kept a dict-of-dicts of per-(VM, metric)
 :class:`~repro.metrics.timeseries.TimeSeries` and appended to each one
 scalar at a time — 5 ring-buffer appends per VM per control interval.
-The :class:`MetricPlane` turns that inside out: each metric is one
-preallocated 2-D ring (rows = VM slots, columns = the shared time grid)
-plus a presence bitmap, and the monitor lands a whole interval with a
-single batched :meth:`MetricPlane.ingest` call.  Detector deviations
-(std of iowait ratio / CPI across an app's VMs) become masked reads of
-the *latest column* instead of per-VM dict probes, and the identifier's
-suspect alignment reads contiguous row slices.
+The :class:`MetricPlane` turns that inside out: the whole host is one
+preallocated 2-D ring whose rows are the shared time grid and whose
+columns are the (VM slot, metric) cells, plus a presence bitmap of the
+same shape, and the monitor lands a whole interval with a single batched
+:meth:`MetricPlane.ingest` call — two contiguous row writes.  Detector
+deviations (std of iowait ratio / CPI across an app's VMs) become masked
+reads of the *latest row* instead of per-VM dict probes, and the
+identifier's suspect alignment reads one cell column.
 
 Reads go through :class:`PlaneSeries`, a stable per-(VM, metric) facade
 with the full ``TimeSeries`` read API (``tail``, ``lookup``,
@@ -26,7 +27,7 @@ Semantics deliberately preserved from the TimeSeries world:
 * eviction is oldest-first and pruning is cutoff-based, with per-series
   ``dropped`` counters so incremental readers can detect window slides.
 
-One intentional difference: capacity bounds the shared *column* count
+One intentional difference: capacity bounds the shared *row* count
 (time grid length), not each series individually — per-series length is
 therefore still ≤ capacity, but all series on one plane evict the same
 oldest instants together.
@@ -49,14 +50,17 @@ _EMPTY.flags.writeable = False
 
 
 class MetricPlane:
-    """Struct-of-arrays store: ``metric → 2-D ring [vm row, time column]``.
+    """Struct-of-arrays store: one 2-D ring ``[time row, VM slot × metric]``.
+
+    Cell ``slot * len(metrics) + k`` of a row holds metric ``k`` of the
+    VM in ``slot``.
 
     Parameters
     ----------
     metrics:
         The fixed set of metric names this plane stores.
     capacity:
-        Maximum number of retained time columns (oldest evicted first).
+        Maximum number of retained time rows (oldest evicted first).
     """
 
     def __init__(self, metrics: Sequence[str], capacity: int = 4096) -> None:
@@ -68,14 +72,16 @@ class MetricPlane:
         self.capacity = int(capacity)
         #: Bumped on every mutation; PlaneSeries caches key off it.
         self.version = 0
-        cols = min(2 * self.capacity, 64)
-        rows = 8
+        #: metric -> its offset inside a VM slot's cells.
+        self._offset: Dict[str, int] = {m: k for k, m in enumerate(self.metrics)}
+        times = min(2 * self.capacity, 64)
+        slots = 8
         self._start = 0
         self._end = 0
-        self._grid, self._vals, self._mask = self._alloc_storage(rows, cols)
-        self._row_of: Dict[str, int] = {}
-        self._vm_of_row: List[Optional[str]] = [None] * rows
-        self._free_rows: List[int] = list(range(rows - 1, -1, -1))
+        self._grid, self._vals, self._mask = self._alloc_storage(times, slots)
+        self._slot_of: Dict[str, int] = {}
+        self._vm_of_slot: List[Optional[str]] = [None] * slots
+        self._free_slots: List[int] = list(range(slots - 1, -1, -1))
         #: Evicted/pruned present-cell counts per (vm, metric) — survives
         #: VM removal so a stale reader sees a consistent ``appended``.
         self._dropped: Dict[Tuple[str, str], int] = {}
@@ -87,7 +93,7 @@ class MetricPlane:
 
     # ----------------------------------------------------------------- write
     def ingest(self, now: float, samples: Mapping[str, Mapping[str, float]]) -> None:
-        """Land one control interval: a column across every metric.
+        """Land one control interval: a row across every (VM, metric) cell.
 
         ``samples`` maps VM name → {metric: value}; omitted metrics leave
         a hole (presence bit stays clear) — the §III-B missing-sample
@@ -100,31 +106,35 @@ class MetricPlane:
             raise ValueError(
                 f"non-monotonic ingest: {now!r} after {self._grid[self._end - 1]!r}"
             )
-        row_of = self._row_of
+        slot_of = self._slot_of
         for vm in samples:
-            if vm not in row_of:
+            if vm not in slot_of:
                 self._register(vm)
         if self._end == self._grid.size:
             self._make_room()
-        # Bound after any growth above, which replaces the storage.
-        vals, mask = self._vals, self._mask
+        offset = self._offset
+        width = len(self.metrics)
+        cells = self._vals.shape[1]
+        vals = [0.0] * cells
+        mask = [False] * cells
+        for vm, metrics in samples.items():
+            base = slot_of[vm] * width
+            for m, value in metrics.items():
+                k = base + offset[m]
+                vals[k] = value
+                mask[k] = True
         j = self._end
         self._grid[j] = t
-        for m in self.metrics:
-            mask[m][:, j] = False
-        for vm, metrics in samples.items():
-            row = row_of[vm]
-            for m, value in metrics.items():
-                vals[m][row, j] = float(value)
-                mask[m][row, j] = True
+        self._vals[j] = vals
+        self._mask[j] = mask
         self._end += 1
         if self._end - self._start > self.capacity:
-            self._evict_columns(1)
+            self._evict_rows(1)
         self.version += 1
         self._grid_view = None
 
     def prune_before(self, cutoff: float) -> int:
-        """Drop columns older than ``cutoff``; returns present cells dropped.
+        """Drop rows older than ``cutoff``; returns present cells dropped.
 
         The retention analogue of ``TimeSeries.prune_before``, applied to
         every series on the plane in one O(log n) cut.
@@ -133,60 +143,64 @@ class MetricPlane:
         k = int(np.searchsorted(g, cutoff - 1e-9, side="left"))
         if not k:
             return 0
-        dropped = self._evict_columns(k)
+        dropped = self._evict_rows(k)
         self.version += 1
         self._grid_view = None
         return dropped
 
     def remove_vm(self, vm: str) -> None:
-        """Free a departed VM's row (its retained cells count as dropped)."""
-        row = self._row_of.pop(vm, None)
-        if row is None:
+        """Free a departed VM's slot (its retained cells count as dropped)."""
+        slot = self._slot_of.pop(vm, None)
+        if slot is None:
             return
-        lo, hi = self._start, self._end
-        for m in self.metrics:
-            n = int(self._mask[m][row, lo:hi].sum())
+        width = len(self.metrics)
+        block = self._mask[self._start:self._end, slot * width:(slot + 1) * width]
+        for m, n in zip(self.metrics, block.sum(axis=0).tolist()):
             if n:
                 self._dropped[(vm, m)] = self._dropped.get((vm, m), 0) + n
                 self.dropped_total += n
-            self._mask[m][row, lo:hi] = False
-        self._vm_of_row[row] = None
-        self._free_rows.append(row)
+        block[...] = False
+        self._vm_of_slot[slot] = None
+        self._free_slots.append(slot)
         self.version += 1
 
     # ------------------------------------------------------------------ read
     @property
     def last_time(self) -> Optional[float]:
-        """Timestamp of the newest column, or None when empty."""
+        """Timestamp of the newest row, or None when empty."""
         return float(self._grid[self._end - 1]) if self._end > self._start else None
 
     def vms(self) -> List[str]:
         """Registered VM names (insertion order)."""
-        return list(self._row_of)
+        return list(self._slot_of)
 
     def series(self, vm: str, metric: str) -> "PlaneSeries":
-        """A stable read facade over one (VM, metric) row."""
-        if metric not in self._vals:
+        """A stable read facade over one (VM, metric) cell column."""
+        if metric not in self._offset:
             raise KeyError(f"unknown metric {metric!r}")
         return PlaneSeries(self, vm, metric)
 
     def latest(self, metric: str, names: Iterable[str]) -> Dict[str, float]:
-        """Values of ``metric`` in the newest column for ``names``.
+        """Values of ``metric`` in the newest row for ``names``.
 
-        Only VMs with a present cell in that column appear in the result
-        (insertion order of ``names``) — the detector's masked-column
-        read: one bitmap probe per member instead of a dict of samples.
+        Only VMs with a present cell in that row appear in the result
+        (insertion order of ``names``) — the detector's masked-row read:
+        one bitmap probe per member instead of a dict of samples.
         """
         out: Dict[str, float] = {}
         if self._end <= self._start:
             return out
         j = self._end - 1
-        vals = self._vals[metric]
-        mask = self._mask[metric]
+        vals = self._vals[j]
+        mask = self._mask[j]
+        width = len(self.metrics)
+        offset = self._offset[metric]
         for n in names:
-            row = self._row_of.get(n)
-            if row is not None and mask[row, j]:
-                out[n] = float(vals[row, j])
+            slot = self._slot_of.get(n)
+            if slot is not None:
+                k = slot * width + offset
+                if mask[k]:
+                    out[n] = float(vals[k])
         return out
 
     def dropped_of(self, vm: str, metric: str) -> int:
@@ -194,55 +208,63 @@ class MetricPlane:
         return self._dropped.get((vm, metric), 0)
 
     # ------------------------------------------------------------- internals
-    def _alloc_storage(
-        self, rows: int, cols: int
-    ) -> Tuple[np.ndarray, Dict[str, np.ndarray], Dict[str, np.ndarray]]:
-        """Allocate zeroed (grid, values, masks) storage of one shape.
+    def _cell(self, vm: str, metric: str) -> Optional[int]:
+        """Cell column of one (VM, metric) series, or None if unregistered."""
+        slot = self._slot_of.get(vm)
+        if slot is None:
+            return None
+        return slot * len(self.metrics) + self._offset[metric]
 
-        Every (re)allocation — initial build, row doubling, column
-        growth — funnels through here.
+    def _alloc_storage(
+        self, times: int, slots: int
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Allocate zeroed (grid, values, mask) storage of one shape.
+
+        Every (re)allocation — initial build, slot doubling, row growth —
+        funnels through here.
         """
-        vals = {m: np.zeros((rows, cols)) for m in self.metrics}
-        mask = {m: np.zeros((rows, cols), dtype=bool) for m in self.metrics}
-        return np.zeros(cols), vals, mask
+        cells = slots * len(self.metrics)
+        return (np.zeros(times), np.zeros((times, cells)),
+                np.zeros((times, cells), dtype=bool))
 
     def _register(self, vm: str) -> None:
-        if not self._free_rows:
-            self._grow_rows()
-        row = self._free_rows.pop()
-        self._row_of[vm] = row
-        self._vm_of_row[row] = vm
+        if not self._free_slots:
+            self._grow_slots()
+        slot = self._free_slots.pop()
+        self._slot_of[vm] = slot
+        self._vm_of_slot[slot] = vm
 
-    def _grow_rows(self) -> None:
-        old = len(self._vm_of_row)
+    def _grow_slots(self) -> None:
+        old = len(self._vm_of_slot)
         new = old * 2
-        cols = self._grid.size
-        grid, vals, mask = self._alloc_storage(new, cols)
-        grid[:cols] = self._grid
-        for m in self.metrics:
-            vals[m][:old] = self._vals[m]
-            mask[m][:old] = self._mask[m]
+        times = self._grid.size
+        grid, vals, mask = self._alloc_storage(times, new)
+        cells = self._vals.shape[1]
+        grid[:] = self._grid
+        vals[:, :cells] = self._vals
+        mask[:, :cells] = self._mask
         self._grid, self._vals, self._mask = grid, vals, mask
         self._grid_view = None
-        self._vm_of_row.extend([None] * (new - old))
-        self._free_rows.extend(range(new - 1, old - 1, -1))
+        self._vm_of_slot.extend([None] * (new - old))
+        self._free_slots.extend(range(new - 1, old - 1, -1))
 
-    def _evict_columns(self, k: int) -> int:
-        """Advance the live region past its ``k`` oldest columns."""
+    def _evict_rows(self, k: int) -> int:
+        """Advance the live region past its ``k`` oldest rows."""
         lo = self._start
         hi = lo + k
         dropped = 0
-        for m in self.metrics:
-            block = self._mask[m][:, lo:hi]
-            if not block.any():
-                continue
-            per_row = block.sum(axis=1)
-            for row in np.nonzero(per_row)[0]:
-                vm = self._vm_of_row[row]
-                n = int(per_row[row])
+        block = self._mask[lo:hi]
+        if block.any():
+            width = len(self.metrics)
+            per_cell = block.sum(axis=0)
+            for cell in np.nonzero(per_cell)[0].tolist():
+                slot, offset = divmod(cell, width)
+                vm = self._vm_of_slot[slot]
+                n = int(per_cell[cell])
                 dropped += n
                 if vm is not None:
-                    self._dropped[(vm, m)] = self._dropped.get((vm, m), 0) + n
+                    key = (vm, self.metrics[offset])
+                    self._dropped[key] = self._dropped.get(key, 0) + n
                     self.dropped_total += n
         self._start = hi
         return dropped
@@ -255,38 +277,34 @@ class MetricPlane:
         return self._grid_view
 
     def _make_room(self) -> None:
-        """Compact live columns to the front, growing up to 2x capacity."""
-        n = self._end - self._start
+        """Compact live rows to the front, growing up to 2x capacity."""
+        lo, hi = self._start, self._end
+        n = hi - lo
         size = self._grid.size
         if n > size // 2:  # mostly live: grow (never past 2x capacity)
             new_size = min(max(2 * size, 64), 2 * self.capacity)
-            rows = len(self._vm_of_row)
-            grid, vals, mask = self._alloc_storage(rows, new_size)
-            grid[:n] = self._grid[self._start:self._end]
-            for m in self.metrics:
-                vals[m][:, :n] = self._vals[m][:, self._start:self._end]
-                mask[m][:, :n] = self._mask[m][:, self._start:self._end]
-            self._grid, self._vals, self._mask = grid, vals, mask
-        else:  # disjoint regions: shift live columns down
-            self._grid[:n] = self._grid[self._start:self._end]
-            for m in self.metrics:
-                self._vals[m][:, :n] = self._vals[m][:, self._start:self._end]
-                self._mask[m][:, :n] = self._mask[m][:, self._start:self._end]
+            grid, vals, mask = self._alloc_storage(new_size, len(self._vm_of_slot))
+        else:  # disjoint regions: shift live rows down
+            grid, vals, mask = self._grid, self._vals, self._mask
+        grid[:n] = self._grid[lo:hi]
+        vals[:n] = self._vals[lo:hi]
+        mask[:n] = self._mask[lo:hi]
+        self._grid, self._vals, self._mask = grid, vals, mask
         self._start, self._end = 0, n
         self._grid_view = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"MetricPlane(metrics={len(self.metrics)}, "
-                f"vms={len(self._row_of)}, cols={self._end - self._start})")
+                f"vms={len(self._slot_of)}, rows={self._end - self._start})")
 
 
 class PlaneSeries:
-    """Read-only ``TimeSeries``-shaped view of one (VM, metric) row.
+    """Read-only ``TimeSeries``-shaped view of one (VM, metric) cell column.
 
     Stable object: the monitor hands the same instance out across
     intervals, so incremental readers can key state off its identity.
     Materialized (times, values) arrays are cached against the plane's
-    version counter; a VM whose row was removed reads as empty.
+    version counter; a VM whose slot was removed reads as empty.
     """
 
     __slots__ = ("plane", "vm", "metric", "name", "capacity",
@@ -307,14 +325,14 @@ class PlaneSeries:
         plane = self.plane
         if self._cv == plane.version:
             return
-        row = plane._row_of.get(self.vm)
-        if row is None:
+        cell = plane._cell(self.vm, self.metric)
+        if cell is None:
             self._t, self._v = _EMPTY, _EMPTY
         else:
             lo, hi = plane._start, plane._end
-            m = plane._mask[self.metric][row, lo:hi]
+            m = plane._mask[lo:hi, cell]
             t = plane._grid[lo:hi][m]
-            v = plane._vals[self.metric][row, lo:hi][m]
+            v = plane._vals[lo:hi, cell][m]
             t.flags.writeable = False
             v.flags.writeable = False
             self._t, self._v = t, v

@@ -12,7 +12,7 @@ byte-identical expositions and a golden file can pin the format.
 :func:`parse_exposition` is the minimal inverse used by the unit tests
 and the CI smoke job; it is not a general Prometheus parser.
 
-Surfaces covered: MetricPlane columns (latest value per VM × metric and
+Surfaces covered: MetricPlane series (latest value per VM × metric and
 drop counters), MonitorStats, ControlPlaneStats, per-host identifier
 fast/full/fallback/flat-skip counters, breaker state + counts, ladder
 mode + degradations/recoveries, the coordinator tick counter, incident
@@ -137,14 +137,14 @@ def _snapshot_plane(families: Dict[str, Family], labels: Dict[str, str],
          labels, plane.dropped_total)
     vms = plane.vms()
     _add(_fam(families, "repro_plane_vms", "gauge",
-              "VM rows currently registered in the metric plane."),
+              "VMs currently registered in the metric plane."),
          labels, len(vms))
     last = plane.last_time
     if last is not None:
         _add(_fam(families, "repro_plane_last_time_seconds", "gauge",
-                  "Newest column time in the metric plane."), labels, last)
+                  "Newest sample time in the metric plane."), labels, last)
     latest = _fam(families, "repro_plane_metric_latest", "gauge",
-                  "Latest ingested value per (vm, metric) column.")
+                  "Latest ingested value per (vm, metric) series.")
     from repro.core.monitor import PLANE_METRICS
 
     for metric in PLANE_METRICS:

@@ -39,7 +39,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, Optional
 
-from repro.virt.libvirt_api import LibvirtError
+from repro.virt.libvirt_api import LibvirtError, per_domain_stats
 
 __all__ = [
     "BreakerOpen",
@@ -266,6 +266,10 @@ class GuardedConnection:
         return [
             GuardedDomain(d, self._breaker, self._clock) for d in domains
         ]
+
+    def getAllDomainStats(self):
+        # Per-domain reads, so the breaker checks and records each one.
+        return per_domain_stats(self.listAllDomains())
 
     def __getattr__(self, attr: str) -> Any:
         value = getattr(self._inner, attr)

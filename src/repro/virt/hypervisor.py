@@ -31,7 +31,8 @@ class Hypervisor:
     # ----------------------------------------------------------------- query
     def list_guests(self) -> List[VM]:
         """All guests of this host, name-ordered."""
-        return [self.host.guests[n] for n in self.host.guest_names()]
+        guests = self.host.guests
+        return [guests[n] for n in sorted(guests)]
 
     def lookup(self, name: str) -> VM:
         """The guest called ``name`` (KeyError if absent)."""
