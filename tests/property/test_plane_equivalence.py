@@ -591,3 +591,72 @@ def test_plane_series_reads_match_timeseries(steps, capacity):
 
 def _dropped_sum(plane, vms, metrics) -> int:
     return sum(plane.dropped_of(vm, m) for vm in vms for m in metrics)
+
+
+_churn_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("ingest"), st.lists(
+            st.tuples(st.integers(0, 11), st.integers(0, 2), _values),
+            min_size=1, max_size=24)),
+        st.tuples(st.just("remove"), st.integers(0, 11)),
+        st.tuples(st.just("prune"), st.none()),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ops=_churn_ops, capacity=st.sampled_from([3, 4096]))
+def test_plane_slot_growth_and_reuse_match_timeseries(ops, capacity):
+    """Up to 12 VMs arrive, leave and return: slots double while rows
+    hold data and freed slots are reused.  Every series, its counters,
+    the newest-row reads and ``dropped_total`` match per-series
+    ``TimeSeries`` whose removal moves the retained samples to
+    ``dropped``."""
+    metrics = ("m0", "m1", "m2")
+    vms = [f"v{i}" for i in range(12)]
+    plane = MetricPlane(metrics, capacity=capacity)
+    oracle = {(vm, m): TimeSeries(capacity=4096) for vm in vms for m in metrics}
+    carried = dict.fromkeys(oracle, 0)  # dropped before the latest removal
+    grid = []
+    t = 0.0
+    for kind, arg in ops:
+        if kind == "ingest":
+            t += 1.0
+            columns = {}
+            for i, k, v in arg:
+                columns.setdefault(vms[i], {})[metrics[k]] = v
+            plane.ingest(t, columns)
+            grid.append(t)
+            for vm, col in columns.items():
+                for m, v in col.items():
+                    oracle[(vm, m)].append(t, v)
+            if len(grid) > capacity:
+                grid = grid[-capacity:]
+                for ts in oracle.values():
+                    ts.prune_before(grid[0])
+        elif kind == "remove":
+            vm = vms[arg]
+            plane.remove_vm(vm)
+            for m in metrics:
+                old = oracle[(vm, m)]
+                carried[(vm, m)] += len(old) + old.dropped
+                oracle[(vm, m)] = TimeSeries(capacity=4096)
+        else:
+            cutoff = t - 2.5
+            plane.prune_before(cutoff)
+            grid = [g for g in grid if g >= cutoff - 1e-9]
+            for ts in oracle.values():
+                ts.prune_before(cutoff)
+        for (vm, m), ts in oracle.items():
+            ps = plane.series(vm, m)
+            assert np.array_equal(ps.times(), ts.times())
+            assert np.array_equal(ps.values(), ts.values())
+            assert ps.dropped == carried[(vm, m)] + ts.dropped
+            assert ps.appended == carried[(vm, m)] + ts.appended
+        for m in metrics:
+            want = {vm: oracle[(vm, m)].last_value for vm in vms
+                    if grid and oracle[(vm, m)].last_time == grid[-1]}
+            assert plane.latest(m, vms) == want
+        assert plane.dropped_total == _dropped_sum(plane, vms, metrics)
