@@ -66,6 +66,16 @@ def test_different_seed_changes_the_digest():
     )
 
 
+def test_default_drill_digest_is_pinned():
+    """The exact drill `repro chaos --harness` runs (its default
+    ``--seed 3``, 4 workers): the trace digest must not move under a
+    refactor of the engine."""
+    result = run_harness_chaos(default_harness_plan(seed=3), workers=4)
+    assert result.survived
+    assert result.identical
+    assert result.digest == "7dfb3d0900f316d7"
+
+
 def test_plan_rejects_double_faulted_or_out_of_range_tasks():
     with pytest.raises(ValueError):
         HarnessChaosPlan(n_tasks=4, kills=(1,), stalls=(1,))
