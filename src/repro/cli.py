@@ -292,7 +292,7 @@ def _add_parallel_args(p: argparse.ArgumentParser) -> None:
 
 def _add_resilience_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--supervised", action="store_true",
-                   help="run through the supervised pool (per-task "
+                   help="run under the supervised policy (per-task "
                         "timeouts, retries, worker respawn — see "
                         "docs/ROBUSTNESS.md)")
     p.add_argument("--resume", metavar="MANIFEST", default=None,
@@ -420,11 +420,11 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--harness", action="store_true",
                        help="attack the harness instead of the simulated "
                             "control plane: worker kills/freezes/stalls + "
-                            "cache corruption under the supervised pool "
+                            "cache corruption under the supervised policy "
                             "(exit 0 = merged results byte-identical to a "
                             "clean serial run)")
     chaos.add_argument("--workers", type=int, default=4, metavar="N",
-                       help="supervised pool size for --harness (default 4)")
+                       help="worker pool size for --harness (default 4)")
     chaos.add_argument("--seed", type=int, default=3)
     chaos.add_argument("--size-mb", type=float, default=640.0,
                        help="terasort input size")

@@ -21,7 +21,11 @@ from repro.core.config import PerfCloudConfig
 from repro.core.cubic import CubicController
 from repro.experiments.cache import ResultCache
 from repro.experiments.harness import TestbedConfig, build_testbed, run_until
-from repro.experiments.parallel import Progress, run_many_report
+from repro.experiments.parallel import (
+    Progress,
+    SupervisorPolicy,
+    run_many_report,
+)
 from repro.workloads.datagen import teragen
 from repro.workloads.puma import terasort
 
@@ -136,10 +140,12 @@ def closed_loop_sweep(
     memoizes per-point results on disk, and the merged output is
     identical to the serial path whatever the completion order.
 
-    ``supervise=True`` swaps in the supervised pool (timeouts, retries,
-    respawn — see :mod:`repro.resilience.supervisor`); ``resume`` names
-    a checkpoint-manifest path so a killed sweep re-invoked with the
-    same grid re-executes zero finished points (requires ``cache_dir``).
+    ``supervise=True`` runs under the default
+    :class:`~repro.experiments.parallel.SupervisorPolicy` (timeouts,
+    retries, respawn, salvage) instead of the fault-free mode;
+    ``resume`` names a checkpoint-manifest path so a killed sweep
+    re-invoked with the same grid re-executes zero finished points
+    (requires ``cache_dir``).
     Passing a dict as ``stats`` fills it with run accounting
     (``executed``/``cached``/``salvaged``) — a supervised run salvages
     a point whose every attempt failed into NaN rather than aborting
@@ -161,17 +167,11 @@ def closed_loop_sweep(
         checkpoint = Checkpoint(
             resume, run_id=stable_hash({"sweep": tasks}), total=len(tasks),
         )
-    if supervise:
-        from repro.resilience.supervisor import run_many_supervised_report
-        report = run_many_supervised_report(
-            tasks, run_closed_loop_point, workers=workers, cache=cache,
-            progress=progress, checkpoint=checkpoint,
-        )
-    else:
-        report = run_many_report(
-            tasks, run_closed_loop_point, workers=workers, cache=cache,
-            progress=progress, checkpoint=checkpoint,
-        )
+    report = run_many_report(
+        tasks, run_closed_loop_point, workers=workers,
+        policy=SupervisorPolicy() if supervise else None, cache=cache,
+        progress=progress, checkpoint=checkpoint,
+    )
     outcomes = report.results
     if stats is not None:
         stats["executed"] = report.executed

@@ -1,11 +1,14 @@
-"""Resilience subsystem: supervised execution, checkpoints, breakers.
+"""Resilience subsystem: supervision policy, checkpoints, breakers.
 
-Three layers, each usable on its own:
+Layers, each usable on its own:
 
-* :mod:`repro.resilience.supervisor` — a supervised process pool
-  (timeouts, heartbeats, retries, respawn, speculation, salvage) that
-  is byte-identical to :func:`repro.experiments.parallel.run_many`
-  when nothing fails;
+* supervision — :class:`SupervisorPolicy` is one of the two policies of
+  the single experiment engine,
+  :func:`repro.experiments.parallel.run_many_report` (timeouts,
+  heartbeats, retries, respawn, speculation, salvage; the other policy,
+  ``policy=None``, is the fault-free mode).  It lives with the engine
+  and is re-exported here with :class:`SupervisorStats` and
+  :data:`WORKER_ENV`;
 * :mod:`repro.resilience.checkpoint` — append-only manifests of
   completed task keys so killed sweeps/corpus runs resume without
   re-executing finished work;
@@ -17,8 +20,8 @@ Three layers, each usable on its own:
   above by killing, freezing and corrupting the harness itself.
 
 Only the breaker/ladder layer is imported eagerly: the control plane
-(:mod:`repro.core.node_manager`) depends on it, while the supervisor
-and chaos layers depend back on :mod:`repro.experiments` — importing
+(:mod:`repro.core.node_manager`) depends on it, while the supervision
+and chaos names depend back on :mod:`repro.experiments` — importing
 them here at module load would close an import cycle, so they resolve
 lazily on first attribute access.
 """
@@ -61,17 +64,13 @@ __all__ = [
     "WORKER_ENV",
     "default_harness_plan",
     "run_harness_chaos",
-    "run_many_supervised",
-    "run_many_supervised_report",
 ]
 
 _LAZY = {
     "Checkpoint": "repro.resilience.checkpoint",
-    "SupervisorPolicy": "repro.resilience.supervisor",
-    "SupervisorStats": "repro.resilience.supervisor",
-    "WORKER_ENV": "repro.resilience.supervisor",
-    "run_many_supervised": "repro.resilience.supervisor",
-    "run_many_supervised_report": "repro.resilience.supervisor",
+    "SupervisorPolicy": "repro.experiments.parallel",
+    "SupervisorStats": "repro.experiments.parallel",
+    "WORKER_ENV": "repro.experiments.parallel",
     "HarnessChaosPlan": "repro.resilience.harness_chaos",
     "HarnessChaosResult": "repro.resilience.harness_chaos",
     "default_harness_plan": "repro.resilience.harness_chaos",

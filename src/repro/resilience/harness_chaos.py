@@ -1,19 +1,20 @@
 """Chaos drills for the *harness itself*: kill, wedge and corrupt it.
 
 :mod:`repro.experiments.chaos` attacks the simulated control plane;
-this module attacks the experiment harness — the supervised process
-pool and the result cache — and proves the supervision layer delivers
-what it promises: a merged result **byte-identical to a clean serial
-run** despite workers being SIGKILLed mid-task, frozen with SIGSTOP
-(heartbeat loss), stalled past their deadline, crashing with
-exceptions, and cache entries being corrupted between runs.
+this module attacks the experiment harness — the process pool under a
+:class:`~repro.experiments.parallel.SupervisorPolicy` and the result
+cache — and proves the supervision layer delivers what it promises: a
+merged result **byte-identical to a clean serial run** despite workers
+being SIGKILLed mid-task, frozen with SIGSTOP (heartbeat loss), stalled
+past their deadline, crashing with exceptions, and cache entries being
+corrupted between runs.
 
 Faults are delivered through a *marker-file* protocol so the task
 runner keeps the plain ``runner(task)`` shape: the first attempt of a
 targeted task creates its marker and then misbehaves; the retry sees
 the marker and runs normally.  Every fault only fires when
-:data:`~repro.resilience.supervisor.WORKER_ENV` is set — i.e. inside a
-supervised worker process — so a task that falls through to the
+:data:`~repro.experiments.parallel.WORKER_ENV` is set — i.e. inside a
+pool worker process — so a task that falls through to the
 serial-fallback rung (or the clean reference run) can never SIGKILL
 the parent.
 
@@ -38,11 +39,11 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.experiments.cache import ResultCache, stable_hash, task_key
-from repro.experiments.parallel import RunReport, run_many_report
-from repro.resilience.supervisor import (
+from repro.experiments.parallel import (
     WORKER_ENV,
+    RunReport,
     SupervisorPolicy,
-    run_many_supervised_report,
+    run_many_report,
 )
 
 __all__ = [
@@ -174,14 +175,13 @@ class HarnessChaosResult:
     elapsed: float
 
     def summary(self) -> Dict[str, Any]:
-        stats = self.chaos_report.supervisor
         return {
             "survived": self.survived,
             "identical": self.identical,
             "recovered_from_corruption": self.recovered_from_corruption,
             "statuses": {str(k): v for k, v in sorted(self.statuses.items())},
             "digest": self.digest,
-            "supervisor": stats.to_dict() if stats is not None else None,
+            "supervisor": self.chaos_report.supervisor.to_dict(),
             "elapsed_s": round(self.elapsed, 3),
         }
 
@@ -245,7 +245,7 @@ def run_harness_chaos(
         # Phase 2: supervised run under fire.
         cache_root = cache_dir or str(Path(tmp) / "cache")
         cache = ResultCache(cache_root)
-        chaos_report = run_many_supervised_report(
+        chaos_report = run_many_report(
             tasks, runner, workers=workers, policy=policy,
             cache=cache, key_fn=chaos_task_key,
         )
@@ -259,7 +259,7 @@ def run_harness_chaos(
         if plan.corrupt:
             for i in plan.corrupt:
                 cache.corrupt(chaos_task_key(tasks[i]))
-            rerun_report = run_many_supervised_report(
+            rerun_report = run_many_report(
                 tasks, runner, workers=workers, policy=policy,
                 cache=cache, key_fn=chaos_task_key,
             )

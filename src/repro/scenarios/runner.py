@@ -22,7 +22,11 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.cache import ResultCache, code_version
-from repro.experiments.parallel import Progress, run_many_report
+from repro.experiments.parallel import (
+    Progress,
+    SupervisorPolicy,
+    run_many_report,
+)
 from repro.experiments.report import render_table
 from repro.scenarios.loader import corpus_digest
 from repro.scenarios.scorer import ScenarioScore, checks_to_jsonable, score_scenario
@@ -218,11 +222,12 @@ def run_corpus(
     Results come back in scenario order regardless of ``workers``, so
     the matrix is byte-identical serial vs parallel at equal seeds.
 
-    ``supervise=True`` routes execution through the supervised pool
-    (per-task timeouts, retries, worker respawn — see
-    :mod:`repro.resilience.supervisor`); a supervised task that
-    exhausts every attempt scores as a failed scenario with a
-    ``task salvaged`` reason instead of aborting the corpus.  ``resume``
+    ``supervise=True`` runs under the default
+    :class:`~repro.experiments.parallel.SupervisorPolicy` (per-task
+    timeouts, retries, worker respawn) instead of the fault-free mode;
+    a supervised task that exhausts every attempt scores as a failed
+    scenario with a ``task salvaged`` reason instead of aborting the
+    corpus.  ``resume``
     names a checkpoint-manifest path: completed task keys are recorded
     as the run progresses, and a re-invocation after a mid-flight kill
     re-executes zero finished tasks (requires ``cache_dir``; the
@@ -257,18 +262,11 @@ def run_corpus(
         )
         resumed = len(checkpoint)
 
-    if supervise:
-        from repro.resilience.supervisor import run_many_supervised_report
-
-        report = run_many_supervised_report(
-            tasks, run_scenario_task, workers=workers,
-            cache=cache, progress=progress, checkpoint=checkpoint,
-        )
-    else:
-        report = run_many_report(
-            tasks, run_scenario_task, workers=workers,
-            cache=cache, progress=progress, checkpoint=checkpoint,
-        )
+    report = run_many_report(
+        tasks, run_scenario_task, workers=workers,
+        policy=SupervisorPolicy() if supervise else None,
+        cache=cache, progress=progress, checkpoint=checkpoint,
+    )
     if checkpoint is not None:
         checkpoint.close()
 
