@@ -13,7 +13,8 @@ by inert zero padding up to the widest host.  Every slab also has a flat
 * guests write their demand/cap/profile fields **in place** each tick
   (:meth:`repro.virt.vm.VM.publish_row` — no per-tick dict or dataclass
   construction, and an idle guest whose columns are already zero writes
-  nothing at all);
+  nothing at all; a parked driver, an executor with nothing to run, is
+  not even polled, and its slot is not delivered to);
 * the kernels (``allocate_cpu_table``, ``BlockDevice.allocate_table``,
   ``MemorySystem.evaluate_table``) read demand columns and write result
   columns for every host at once;
@@ -48,6 +49,7 @@ slots.  They still own slots, so flows and deliveries keep host order.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import reduce
 from operator import add
 from typing import Callable, Iterable, List, Optional
@@ -56,7 +58,7 @@ import numpy as np
 
 from repro.hardware.resources import ResourceGrant, ZERO_DEMAND
 
-__all__ = ["GuestTable", "row_sums", "seq_sum"]
+__all__ = ["DataPlaneStats", "GuestTable", "row_sums", "seq_sum"]
 
 _INF = float("inf")
 
@@ -125,24 +127,46 @@ def _generic_publisher(guest) -> Callable:
     return publish
 
 
+@dataclass
+class DataPlaneStats:
+    """Cumulative :meth:`GuestTable.refresh` counts (single-socket hosts).
+
+    ``rows_visited - rows_delivered`` is the number of row-ticks whose
+    delivery was skipped: driverless, finished or parked guests.
+    """
+
+    rows_visited: int = 0
+    rows_delivered: int = 0
+    busy_host_steps: int = 0
+    idle_host_steps: int = 0
+
+
 class GuestTable:
     """Columnar guest state of a set of hosts: demands, caps, results.
 
     The layout is rebuilt only when a guest is attached or detached
     anywhere (rare); between rebuilds every column is written in place.
-    Row publishers return a per-slot code — 0: idle and driverless or
-    finished (delivery skippable, an all-zero grant is an exact no-op),
-    1: idle but the driver is alive (must still be delivered to, e.g. a
-    timed driver advancing through an off-episode), 2: active.
+    Row publishers return a per-slot code:
+
+    * 0 — idle with no driver to advance: driverless, finished, or
+      parked (an idle executor, see ``WorkloadDriver.idle``).  The row
+      is not in :attr:`deliver_rows`: an all-zero grant is an exact
+      no-op, and a parked driver is not even polled;
+    * 1 — idle but the driver is alive and must still be delivered to
+      (e.g. a timed driver advancing through an off-episode);
+    * 2 — active.
 
     Per tick, :meth:`refresh` sorts the single-socket hosts into
     :attr:`busy` (at least one active slot: the kernels serve them) and
-    :attr:`idle` (every slot idle: :meth:`emit_idle_grants` serves them).
+    :attr:`idle` (every slot idle: :meth:`emit_idle_grants` serves them),
+    and adds the tick to :attr:`stats`.
     """
 
     def __init__(self, hosts: Iterable = ()) -> None:
         self.hosts: list = []
         self.dirty = True
+        #: Cumulative counts, kept across layout rebuilds.
+        self.stats = DataPlaneStats()
         for host in hosts:
             self.add_host(host)
 
@@ -187,6 +211,7 @@ class GuestTable:
         self.scalar_hosts = [
             h for h, host in enumerate(hosts) if host.spec.numa_sockets > 1
         ]
+        self._vector_rows = sum(len(self.slots[h]) for h in self.vector_hosts)
         self.disks = [host.disk for host in hosts]
         self.mems = [host.memsys for host in hosts]
 
@@ -301,6 +326,7 @@ class GuestTable:
         Fills :attr:`busy`, :attr:`idle`, :attr:`flow_rows` and
         :attr:`deliver_rows` for this tick, and, when any host is busy,
         :attr:`steady`; a change of inputs drops the cached plans.
+        Counts the tick into :attr:`stats` once, not per row.
         """
         pubs = self._pubs
         flows = self.flows
@@ -325,6 +351,11 @@ class GuestTable:
         self.idle = idle
         self.flow_rows = flow_rows
         self.deliver_rows = deliver_rows
+        stats = self.stats
+        stats.rows_visited += self._vector_rows
+        stats.rows_delivered += len(deliver_rows)
+        stats.busy_host_steps += len(busy)
+        stats.idle_host_steps += len(idle)
         if busy:
             seen = self.inputs.tobytes()
             self.steady = seen == self._seen

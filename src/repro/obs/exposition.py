@@ -15,9 +15,9 @@ and the CI smoke job; it is not a general Prometheus parser.
 Surfaces covered: MetricPlane series (latest value per VM × metric and
 drop counters), MonitorStats, ControlPlaneStats, per-host identifier
 fast/full/fallback/flat-skip counters, breaker state + counts, ladder
-mode + degradations/recoveries, the coordinator tick counter, incident
-ledger and span recorder totals, result-cache hits/misses and
-SupervisorStats.
+mode + degradations/recoveries, the coordinator tick counter, the data
+plane's row and host-step counters, incident ledger and span recorder
+totals, result-cache hits/misses and SupervisorStats.
 """
 
 from __future__ import annotations
@@ -88,6 +88,9 @@ def snapshot(
             _snapshot_host(families, host, perfcloud.retired[host],
                            retired=True)
         _snapshot_control_plane(families, perfcloud.control_plane)
+        _counter_fields(families, "repro_dataplane",
+                        perfcloud.cloud.cluster.table.stats, {},
+                        "Data-plane {field} count.")
     if telemetry is not None:
         _snapshot_telemetry(families, telemetry)
     if cache is not None:

@@ -138,8 +138,12 @@ class Cluster:
         Steps every host through the cluster's one
         :class:`~repro.hardware.table.GuestTable`, then resolves flows
         through the fabric and delivers the table's reusable grants to
-        the slots marked deliverable (slots with no live driver are
-        skipped: an all-zero grant is an exact cgroup no-op).  Flows and
+        the slots marked deliverable.  Slots of driverless, finished and
+        parked guests (idle executors, see ``WorkloadDriver.idle``) are
+        skipped: their grant is all-zero, an exact cgroup no-op, and a
+        parked driver's ``consume`` would change nothing.  Launches come
+        from scheduler heartbeats between ticks, so a row parked at
+        publish time stays parked through delivery.  Flows and
         deliveries go host by host in row order.
         """
         table = self.table

@@ -128,14 +128,20 @@ class VM:
         Columnar counterpart of ``poll_demand``/``cpu_cap_cores``/
         ``io_caps``/``perf_profile``: one fused pass that touches the
         driver exactly once (``demand()`` may be stateful) and constructs
-        nothing.  Returns the row's delivery code — 0: no live driver
-        (an all-zero grant would be an exact no-op, delivery skippable),
-        1: live driver polled ``ZERO_DEMAND`` (must still consume the
-        zero grant — episodic drivers advance through off-phases there),
-        2: active demand published.
+        nothing.  Returns the row's delivery code — 0: no live driver, or
+        one that is parked (:attr:`WorkloadDriver.idle
+        <repro.workloads.base.WorkloadDriver.idle>`: an idle executor)
+        or finished; an all-zero grant would be an exact no-op, so the
+        row is not delivered.  A parked driver is neither polled nor
+        delivered to and its row takes ``IDLE_PROFILE``, value-equal to
+        the profile an idle executor or composite reports.  1: live
+        driver polled ``ZERO_DEMAND`` (must still consume the zero grant
+        — episodic drivers advance through off-phases there).  2: active
+        demand published.  Drivers without an ``idle`` attribute are
+        never parked.
         """
         driver = self.driver
-        if driver is None:
+        if driver is None or getattr(driver, "idle", False):
             prof = _DEFAULT_PROFILE
             if prof is not table.profiles[i]:
                 table.set_profile(i, prof)

@@ -30,6 +30,15 @@ class WorkloadDriver(abc.ABC):
     #: Microarchitectural personality; used by the memory-system model.
     profile: PerfProfile = PerfProfile()
 
+    #: Whether the driver is parked: the guest row skips it this tick.
+    #: A driver may report ``True`` only while :meth:`demand` would
+    #: return ``ZERO_DEMAND`` *and* :meth:`consume` of that step's grant
+    #: changes nothing (no state, no callback, no RNG draw) — then
+    #: neither call is made and the grant is not delivered.  Drivers
+    #: that advance through idle steps (episodic ``TimedDriver`` off-
+    #: phases) keep the default.
+    idle: bool = False
+
     @abc.abstractmethod
     def demand(self) -> ResourceDemand:
         """Resource appetite for the upcoming step (rates, per second)."""

@@ -18,7 +18,12 @@ poll, never before).  The multi-host test steps whole clusters —
 with hosts of very different widths, idle hosts beside busy ones, a
 NUMA host in the mix, cross-host flows, and boots, destroys, migrations
 and cap flips between ticks (each one rebuilds the slab).  It also
-checks physical invariants of every grant.
+checks physical invariants of every grant.  A second multi-host
+lockstep runs real framework executors (alone and paired in a
+``CompositeDriver``) whose attempts are launched, speculated, killed
+and reaped between and during ticks: ``Cluster.step`` parks the idle
+ones, the oracle polls and delivers everyone, and grants, counters,
+attempt progress and RNG streams must still be bitwise equal.
 
 The network fabric gets its own comparison against the scalar loop
 preserved in :func:`repro.bench.naive.naive_fabric_allocate`, and the
@@ -33,6 +38,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench.naive import naive_cluster_step, naive_fabric_allocate
+from repro.frameworks.executor import CompositeDriver, ExecutorDriver
+from repro.frameworks.jobs import Job, Task, TaskWork
 from repro.hardware.host import PhysicalHost, step_hosts
 from repro.hardware.network import Flow, NetworkFabric
 from repro.hardware.resources import (
@@ -400,6 +407,180 @@ def test_cluster_step_matches_per_host_oracles_bitwise(world):
         assert fast.fabric.utilization == slow.fabric.utilization
         assert fast.delivery_log == slow.delivery_log
         _assert_physical(fast, got, dt)
+
+
+# ------------------------------------------------------ parked executors
+class _Heartbeat:
+    """Stand-in for the framework schedulers' between-tick heartbeat.
+
+    Launches fresh tasks and speculative copies into free slots, kills
+    attempts through their executor or behind its back (the executor
+    reaps those on delivery), and on completion kills the losing copies
+    mid-tick, as ``FrameworkScheduler._attempt_done`` does.  Every
+    decision draws from ``rng``, so equal worlds make equal decisions.
+    """
+
+    def __init__(self, rng, peers) -> None:
+        self.rng = rng
+        self.peers = peers
+        self.now = 0.0
+        self.executors = []
+        self.owner = {}
+        self.attempts = []
+        self.done_log = []
+
+    def executor(self, vm_name):
+        ex = ExecutorDriver(vm_name, int(self.rng.integers(1, 3)),
+                            clock=lambda: self.now,
+                            on_attempt_done=self._done)
+        self.executors.append(ex)
+        return ex
+
+    def _done(self, attempt) -> None:
+        self.done_log.append((attempt.vm_name, attempt.id, self.now))
+        if attempt.task.completed:
+            attempt.kill(self.now)
+            return
+        for loser in attempt.task.complete_with(attempt, self.now):
+            self.owner[loser].kill(loser)
+
+    def _task(self):
+        rng = self.rng
+        n = len(self.attempts)
+        job = Job(f"j{n}", "bench", "mapreduce", self.now)
+        job.profile = _WORLD_PROFILES[int(rng.integers(3))]
+
+        def amount(scale):
+            return 0.0 if rng.random() < 0.3 else float(rng.uniform(0, scale))
+        read = amount(4e8)
+        write = amount(2e8)
+        net = {}
+        if rng.random() < 0.4:
+            net[self.peers[int(rng.integers(len(self.peers)))]] = amount(2e8)
+        task = Task(f"j{n}/t", job, "map", TaskWork(
+            cpu_coresec=amount(3.0), read_bytes=read, read_ops=read / 6.5e4,
+            write_bytes=write, write_ops=write / 6.5e4, net_in=net,
+            llc_ws_mb=amount(20.0), mem_bw_gbps=amount(4.0)))
+        task.nominal_s = float(rng.uniform(0.5, 4.0))
+        job.add_task(task)
+        return task
+
+    def beat(self) -> None:
+        rng = self.rng
+        for ex in self.executors:
+            for a in list(ex.running):
+                roll = rng.random()
+                if roll < 0.05:
+                    ex.kill(a)
+                elif roll < 0.1:
+                    a.kill(self.now)
+            while ex.free_slots and rng.random() < 0.35:
+                live = [a for a in self.attempts
+                        if a.running and not a.task.completed]
+                speculative = bool(live) and rng.random() < 0.3
+                task = (live[int(rng.integers(len(live)))].task
+                        if speculative else self._task())
+                attempt = task.new_attempt(ex.vm_name, self.now,
+                                           speculative=speculative)
+                ex.launch(attempt)
+                self.owner[attempt] = ex
+                self.attempts.append(attempt)
+
+
+@st.composite
+def _framework_worlds(draw):
+    sizes = draw(st.lists(st.sampled_from([1, 3, 6, 12]),
+                          min_size=1, max_size=3))
+    ticks = draw(st.integers(min_value=3, max_value=12))
+    return {
+        "sizes": sizes,
+        "numa": draw(st.one_of(st.none(),
+                               st.integers(0, len(sizes) - 1))),
+        "seed": draw(st.integers(min_value=0, max_value=2**32 - 1)),
+        "dts": draw(st.lists(st.sampled_from([0.5, 1.0]),
+                             min_size=ticks, max_size=ticks)),
+    }
+
+
+def _build_framework_world(world):
+    """Executors, composites, scripted and driverless guests."""
+    rng = np.random.default_rng(world["seed"])
+    cluster = Cluster(Simulator(seed=world["seed"] % 1000))
+    peers = [f"h{h}v{j:02d}" for h, n in enumerate(world["sizes"])
+             for j in range(n)]
+    beat = _Heartbeat(rng, peers)
+    for h, n in enumerate(world["sizes"]):
+        host = cluster.add_host(
+            f"h{h}", _NUMA if world["numa"] == h else R630).name
+        for j in range(n):
+            name = f"h{h}v{j:02d}"
+            vm = cluster.boot_vm(name, host, vcpus=int(rng.integers(1, 5)))
+            roll = rng.random()
+            if roll < 0.45:
+                vm.attach_workload(beat.executor(name))
+            elif roll < 0.75:
+                vm.attach_workload(CompositeDriver(
+                    [beat.executor(name), beat.executor(name)]))
+            elif roll < 0.9:
+                schedule = [
+                    (_random_demand(rng, peers, 0.05), int(rng.integers(3)))
+                    for _ in range(len(world["dts"]) + 1)
+                ]
+                vm.attach_workload(_ScriptedDriver(schedule, _WORLD_PROFILES))
+    return cluster, beat
+
+
+_ATTEMPT_FIELDS = ("state", "end_time", "rem_cpu", "rem_read_bytes",
+                   "rem_read_ops", "rem_write_bytes", "rem_write_ops",
+                   "rem_net", "progress_log")
+
+
+@settings(max_examples=60, deadline=None)
+@given(world=_framework_worlds())
+def test_cluster_step_parks_idle_executors_bitwise(world):
+    fast, fast_beat = _build_framework_world(world)
+    slow, slow_beat = _build_framework_world(world)
+    for dt in world["dts"]:
+        fast_beat.beat()
+        slow_beat.beat()
+        # Rows the table must park this tick: idle executors and
+        # composites on single-socket hosts.
+        parked = {
+            name for name, vm in fast.vms.items()
+            if getattr(vm.driver, "idle", False)
+            and fast.hosts[vm.host_name].spec.numa_sockets == 1
+        }
+        fast.step(dt)
+        want = naive_cluster_step(slow, dt)
+        table = fast.table
+        delivered = {table.names[k] for k in table.deliver_rows}
+        assert not parked & delivered
+        got = {table.names[k]: table.grants[k] for k in table.rows()}
+        assert sorted(got) == sorted(want)
+        for name, g in got.items():
+            s = want[name]
+            for f in _GRANT_FIELDS:
+                assert getattr(g, f) == getattr(s, f), (name, f)
+            assert g.net_bytes == s.net_bytes, name
+        for name, vm in fast.vms.items():
+            assert vm.cgroup.snapshot() == slow.vms[name].cgroup.snapshot()
+        for name, host in fast.hosts.items():
+            _assert_hosts_equal(host, slow.hosts[name])
+        assert fast.fabric.utilization == slow.fabric.utilization
+        assert len(fast_beat.attempts) == len(slow_beat.attempts)
+        for a, b in zip(fast_beat.attempts, slow_beat.attempts):
+            for f in _ATTEMPT_FIELDS:
+                assert getattr(a, f) == getattr(b, f), (a.id, f)
+        assert fast_beat.done_log == slow_beat.done_log
+        streams = fast.sim.rng._streams
+        assert sorted(streams) == sorted(slow.sim.rng._streams)
+        for name, gen in streams.items():
+            assert (gen.bit_generator.state
+                    == slow.sim.rng._streams[name].bit_generator.state)
+        assert (fast_beat.rng.bit_generator.state
+                == slow_beat.rng.bit_generator.state)
+        fast_beat.now += dt
+        slow_beat.now += dt
 
 
 # ------------------------------------------------------------------ fabric

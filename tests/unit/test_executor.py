@@ -164,6 +164,57 @@ def test_externally_killed_attempt_reaped_on_consume():
     assert ex.running == []
 
 
+def _assert_no_cached_rates(ex):
+    assert ex._last_rates == {}
+    assert ex._last_net_rates == {}
+    assert ex._pace_memo == {}
+
+
+def test_reaped_and_killed_attempts_leave_no_cached_rates():
+    # A parked executor is never polled, so nothing but the reap loop
+    # and kill() can release a finished attempt (and its job).
+    done = []
+    clock = Clock()
+    ex = ExecutorDriver("vm0", slots=2, clock=clock,
+                        on_attempt_done=done.append)
+    finisher = make_attempt(cpu=1.0, read=1e6, nominal=1.0,
+                            net={"peer1": 1e6})
+    victim = make_attempt(cpu=50.0, read=0.0, net={"peer1": 1e6})
+    ex.launch(finisher)
+    ex.launch(victim)
+    d = ex.demand()
+    assert set(ex._last_rates) == set(ex._last_net_rates) == {
+        finisher, victim}
+    ex.kill(victim)
+    assert victim not in ex._last_rates
+    assert victim not in ex._last_net_rates
+    for step in range(100):
+        clock.now = float(step)
+        d = ex.demand()
+        ex.consume(ResourceGrant(
+            dt=1.0, cpu_coresec=d.cpu_cores, effective_coresec=d.cpu_cores,
+            cpi=1.0, read_ops=d.read_iops, read_bytes=d.read_bytes_ps,
+            net_bytes={f.peer_vm: f.bytes_per_s for f in d.flows},
+        ))
+        if done:
+            break
+    assert done == [finisher]
+    assert ex.running == [] and ex.idle
+    _assert_no_cached_rates(ex)
+
+
+def test_externally_killed_attempt_leaves_no_cached_rates():
+    ex = ExecutorDriver("vm0", slots=1, clock=Clock())
+    a = make_attempt(net={"peer1": 1e6})
+    ex.launch(a)
+    ex.demand()
+    a.kill(1.0)
+    assert not ex.idle  # still holds the dead attempt: must be delivered
+    ex.consume(ResourceGrant(dt=1.0))
+    assert ex.running == [] and ex.idle
+    _assert_no_cached_rates(ex)
+
+
 def test_profile_blending():
     p1 = PerfProfile(base_cpi=1.0, llc_sensitivity=0.0)
     p2 = PerfProfile(base_cpi=3.0, llc_sensitivity=2.0)

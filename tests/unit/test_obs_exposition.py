@@ -111,6 +111,11 @@ def test_snapshot_covers_every_counter_surface(live):
         "repro_plane_metric_latest",
         # coordinator
         "repro_controlplane_serial_ticks_total",
+        # data plane
+        "repro_dataplane_rows_visited_total",
+        "repro_dataplane_rows_delivered_total",
+        "repro_dataplane_busy_host_steps_total",
+        "repro_dataplane_idle_host_steps_total",
         # telemetry
         "repro_incidents_opened_total",
         "repro_incidents_resolved_total",
@@ -131,6 +136,12 @@ def test_live_snapshot_renders_and_parses(live):
         telemetry.ledger.opened)
     total_retained = sum(parsed["repro_spans_retained"].values())
     assert total_retained == len(telemetry.spans)
+    # The 60 s after the job leave the executors parked: their rows are
+    # visited but not delivered.
+    visited = parsed["repro_dataplane_rows_visited_total"][()]
+    delivered = parsed["repro_dataplane_rows_delivered_total"][()]
+    assert 0 < delivered < visited
+    assert parsed["repro_dataplane_busy_host_steps_total"][()] > 0
     for samples in parsed.values():
         for value in samples.values():
             assert math.isfinite(value)
