@@ -10,6 +10,7 @@ gated in strict (same-machine) comparisons.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from typing import Callable, Dict, Tuple
 
@@ -469,15 +470,18 @@ class _ScriptedDriver:
         pass
 
 
-def _make_dataplane_host(n_guests: int, name: str = "bench0"):
+def _make_dataplane_host(n_guests: int, name: str = "bench0",
+                         churn: bool = False):
     """One host + ``n_guests`` scripted VMs exercising every kernel mask.
 
     The demand mix covers the shapes the columnar kernels special-case:
     CPU-heavy rows with LLC/bandwidth appetite, IO-heavy rows, capped
     rows (cgroup CPU quota and blkio throttle), and rows that go idle on
-    a cycle (mask churn).  Identical construction at identical seeds
-    yields identical RNG streams, so a scalar host and a columnar host
-    built by this function step bitwise in lockstep.
+    a cycle (mask churn).  With ``churn``, Fig. 9's shape instead: every
+    guest holds its demand, except one whose disk read rate changes every
+    tick.  Identical construction at identical seeds yields identical
+    RNG streams, so a scalar host and a columnar host built by this
+    function step bitwise in lockstep.
     """
     from repro.hardware.host import PhysicalHost
     from repro.hardware.resources import PerfProfile, ResourceDemand, ZERO_DEMAND
@@ -506,6 +510,11 @@ def _make_dataplane_host(n_guests: int, name: str = "bench0"):
                                   llc_ws_mb=1.5)
             sched = [work] * 9 + [ZERO_DEMAND, ZERO_DEMAND]
             prof = io_prof
+        if churn:
+            sched = [work]
+            if i == 1:
+                sched = [dataclasses.replace(work, read_iops=1000.0 + 37.0 * t)
+                         for t in range(97)]
         if i % 5 == 0:
             vm.cgroup.cpu.quota_cores = 1.5
         if i % 4 == 0:
@@ -542,7 +551,8 @@ def _dataplane_lockstep(table, slow_hosts, ticks: int) -> None:
 
 
 def _dataplane_ratio(n_hosts: int, n_guests: int, ticks: int, repeat: int,
-                     idle: bool = False) -> Tuple[float, float]:
+                     idle: bool = False,
+                     churn: bool = False) -> Tuple[float, float]:
     """(table µs/tick, scalar µs/tick) for ``n_hosts`` × ``n_guests``.
 
     The columnar side steps all hosts through one ``GuestTable``; the
@@ -554,9 +564,9 @@ def _dataplane_ratio(n_hosts: int, n_guests: int, ticks: int, repeat: int,
     from repro.hardware.table import GuestTable
 
     def build():
-        fast = [_make_dataplane_host(n_guests, f"bench{h:02d}")
+        fast = [_make_dataplane_host(n_guests, f"bench{h:02d}", churn)
                 for h in range(n_hosts)]
-        slow = [_make_dataplane_host(n_guests, f"bench{h:02d}")
+        slow = [_make_dataplane_host(n_guests, f"bench{h:02d}", churn)
                 for h in range(n_hosts)]
         if idle:
             for _, vms in fast + slow:
@@ -602,6 +612,10 @@ def bench_dataplane(repeat: int = 3) -> Dict[str, float]:
       smallest table the figures step (Fig. 11's hosts);
     * ``dataplane.idle_speedup_vs_naive`` — the all-idle 24-guest host,
       where the table's cached idle grants shortcut re-emission;
+    * ``dataplane.churn_speedup_vs_naive`` — one 16-guest host where a
+      single row's disk demand changes every tick (Fig. 9's shape): the
+      disk plan is rebuilt every tick, the CPU and memory-system plans
+      are reused;
     * ``dataplane.fabric_speedup_vs_naive`` — the vectorized NIC
       water-filling against the per-flow dict-accumulation loop it
       replaced.
@@ -612,6 +626,7 @@ def bench_dataplane(repeat: int = 3) -> Dict[str, float]:
     cluster_fast, cluster_naive = _dataplane_ratio(48, 5, 10, repeat)
     small_fast, small_naive = _dataplane_ratio(1, 8, 120, repeat)
     idle_fast, idle_naive = _dataplane_ratio(1, 24, 60, repeat, idle=True)
+    churn_fast, churn_naive = _dataplane_ratio(1, 16, 90, repeat, churn=True)
 
     # ---- fabric --------------------------------------------------------
     n_hosts, n_flows = 15, 240
@@ -653,6 +668,7 @@ def bench_dataplane(repeat: int = 3) -> Dict[str, float]:
         "dataplane.cluster_speedup_vs_naive": cluster_naive / cluster_fast,
         "dataplane.small_host_speedup_vs_naive": small_naive / small_fast,
         "dataplane.idle_speedup_vs_naive": idle_naive / idle_fast,
+        "dataplane.churn_speedup_vs_naive": churn_naive / churn_fast,
         "dataplane.fabric_us_per_call": t_ffast / u_ffast * 1e6,
         "dataplane.fabric_speedup_vs_naive": (
             (t_fnaive / u_fnaive) / (t_ffast / u_ffast)

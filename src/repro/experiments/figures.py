@@ -98,11 +98,6 @@ def _run_job(
     return testbed, job
 
 
-def _mean_jct(kind, bench, seeds, **kw) -> float:
-    return float(np.mean([_run_job(kind, bench, seed=s, **kw)[1].completion_time
-                          for s in seeds]))
-
-
 # --------------------------------------------------------------------------
 # parallel fan-out machinery
 #

@@ -424,11 +424,14 @@ class CompositeDriver(WorkloadDriver):
 
     @property
     def profile(self) -> PerfProfile:  # type: ignore[override]
-        """Blend of the children's personalities (CPU-weighted)."""
+        """Blend of the children's personalities (CPU-weighted).
+
+        The weights are the CPU demands of the latest :meth:`demand`
+        poll; before the first poll the children weigh equally.  Reading
+        the property never polls a child, so it changes no state.
+        """
         profiles = [c.profile for c in self.children]
-        weights = [
-            max(d.cpu_cores, 0.05) for d in (self._last or [c.demand() for c in self.children])
-        ]
+        weights = [max(d.cpu_cores, 0.05) for d in self._last]
         if len(weights) != len(profiles):
             weights = [1.0] * len(profiles)
         return blend_profiles(profiles, weights)

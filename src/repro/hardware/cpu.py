@@ -9,7 +9,7 @@ actuator PerfCloud uses to throttle CPU antagonists (§III-C).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Hashable, Mapping, Optional
+from typing import TYPE_CHECKING, Dict, Hashable, List, Mapping, Optional
 
 import numpy as np
 
@@ -96,11 +96,13 @@ def _stable_key(vm: Hashable) -> str:
     return str(vm)
 
 
-def allocate_cpu_table(table: "GuestTable") -> None:
+def allocate_cpu_table(table: "GuestTable") -> List[float]:
     """Columnar :func:`allocate_cpu` over every host of a ``GuestTable``.
 
     Fills ``table.cpu_grant`` in place, each host against its own core
-    count, and ``table.cpu_utilization`` (granted / capacity per host).
+    count, and returns the granted / capacity ratio per host.  Reads
+    only the CPU demand and cap rows, ``inputs[0:2]`` (the ``"cpu"`` key
+    of :meth:`~repro.hardware.table.GuestTable.cached`).
     Bitwise-identical to the scalar water-filling host by host: each
     numpy elementwise op performs the exact IEEE operation the
     scalar expression did per VM, per-host sums use
@@ -112,13 +114,13 @@ def allocate_cpu_table(table: "GuestTable") -> None:
     validation.
     """
     out = table.cpu_grant
-    np.minimum(table.demand[0], np.maximum(table.caps[0], 0.0), out=out)
+    inputs = table.inputs
+    np.minimum(inputs[0], np.maximum(inputs[1], 0.0), out=out)
     capacity = table.cores
     total = row_sums(out)
     over = total > table.core_limit
     if True not in over.tolist():
-        table.cpu_utilization = (total / capacity).tolist()
-        return
+        return (total / capacity).tolist()
 
     effective = out.copy()
     out[over] = 0.0
@@ -147,4 +149,4 @@ def allocate_cpu_table(table: "GuestTable") -> None:
         out[satisfied] += residual[satisfied]
         remaining = np.where(pending, capacity - row_sums(out), remaining)
         active = active & ~satisfied
-    table.cpu_utilization = (row_sums(out) / capacity).tolist()
+    return (row_sums(out) / capacity).tolist()

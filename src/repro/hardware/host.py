@@ -283,9 +283,10 @@ def step_hosts(table: GuestTable, dt: float) -> None:
 
     Guests publish their rows, then one call per kernel serves every
     busy single-socket host at once: CPU water-filling, the block
-    devices, the memory systems; the slots' reusable grants are refreshed
-    in place (``net_bytes`` still empty; the cluster fills those in after
-    fabric allocation).  All-idle hosts keep their cached idle grants.
+    devices, the memory systems, each reusing its draw-free plan while
+    the input rows it reads hold (:meth:`GuestTable.cached`); the
+    slots' reusable grants are refreshed in place (``net_bytes`` still
+    empty; the cluster fills those in after fabric allocation).  All-idle hosts keep their cached idle grants.
     NUMA hosts step through :meth:`PhysicalHost.step_local` and the
     table adopts the result.  Outcomes and RNG consumption are bitwise
     those of ``step_local`` on every host, the oracle the property tests
@@ -296,11 +297,8 @@ def step_hosts(table: GuestTable, dt: float) -> None:
     table.refresh()
     busy = table.busy
     if busy:
-        # The CPU allocation is a pure function of the input slabs.
-        if not table.steady:
-            allocate_cpu_table(table)
+        utilization = table.cached("cpu", _cpu_plan, dt)
         hosts = table.hosts
-        utilization = table.cpu_utilization
         for h in busy:
             hosts[h].cpu_utilization = utilization[h]
         BlockDevice.allocate_table(table, dt)
@@ -310,3 +308,10 @@ def step_hosts(table: GuestTable, dt: float) -> None:
         table.emit_idle_grants(dt)
     for h in table.scalar_hosts:
         table.adopt_scalar(h, table.hosts[h].step_local(dt))
+
+
+def _cpu_plan(table: GuestTable, dt: float) -> List[float]:
+    """The CPU allocation as a cached plan: it draws nothing and does not
+    depend on ``dt``; ``table.cpu_grant`` holds the grant while it is
+    reused."""
+    return allocate_cpu_table(table)

@@ -261,9 +261,9 @@ class MemorySystem:
         exactly as the scalar outcome loop drew them.  Inactive rows
         (including idle ones) observe their base CPI with no clamp,
         matching the scalar not-active branch.  The contention model
-        before the draws is cached on the table while its inputs hold
-        (see :func:`_mem_plan`).  A static method because one call serves
-        every host's memory system; call it on the class.
+        before the draws is cached on the table while its input rows
+        hold (see :func:`_mem_plan`).  A static method because one call
+        serves every host's memory system; call it on the class.
         """
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt!r}")
@@ -320,13 +320,16 @@ class MemorySystem:
 def _mem_plan(table, dt: float) -> SimpleNamespace:
     """The contention model of a columnar memory step, before any draw.
 
-    A pure function of the granted-CPU and demand slabs (and ``dt``), so
-    the table caches it while they hold: LLC occupancy and miss factors,
-    DRAM bandwidth sharing and stall, the per-host gauges and jitter
-    inputs, and the bytes moved (written to ``table.mem_out`` here).
+    A pure function of the granted-CPU slab and the CPU and memory
+    demand rows, ``inputs[0:4]`` (and ``dt``; the CPU grant is itself a
+    function of ``inputs[0:2]``), so the table caches it while they
+    hold: LLC occupancy and miss factors, DRAM bandwidth sharing and
+    stall, the per-host gauges and jitter inputs, and the bytes moved
+    (written to ``table.mem_out[3]`` here).
     """
     grant = table.cpu_grant
-    ws = table.demand[6]
+    inputs = table.inputs
+    ws = inputs[3]
     llc = table.llc_col
     act = grant > 1e-9
     wmask = act & (ws > 0.0)
@@ -363,7 +366,7 @@ def _mem_plan(table, dt: float) -> SimpleNamespace:
     em = np.maximum(0.0, mf - miss[1])
 
     # ---- bandwidth sharing -------------------------------------------
-    demand = table.demand[0]
+    demand = inputs[0]
     cpu_scale = np.empty(occ.shape)
     cpu_scale.fill(1.0)
     np.divide(grant, demand, out=cpu_scale, where=demand > 1e-9)
@@ -371,7 +374,7 @@ def _mem_plan(table, dt: float) -> SimpleNamespace:
     # mf is zero where there is no working set, so this is the scalar
     # 0.25 there too.
     locality = 0.25 + 0.75 * mf
-    bwd = np.where(act, table.demand[5] * cpu_scale * locality, 0.0)
+    bwd = np.where(act, inputs[2] * cpu_scale * locality, 0.0)
     total_bw = row_sums(bwd)
     bandwidth = table.bw_gbps
     bw_scale = np.empty(total_bw.shape)

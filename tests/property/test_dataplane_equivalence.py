@@ -25,6 +25,13 @@ and reaped between and during ticks: ``Cluster.step`` parks the idle
 ones, the oracle polls and delivers everyone, and grants, counters,
 attempt progress and RNG streams must still be bitwise equal.
 
+A third lockstep holds every guest's CPU and memory demands constant
+while a few guests redraw one disk rate per tick, so reused CPU and
+memory-system plans meet a disk plan rebuilt every tick.  Beside the
+locksteps, a key-completeness test sets every input row outside a
+kernel's plan key to other random values: the plan, and the result rows
+its build writes, must not change by a bit.
+
 The network fabric gets its own comparison against the scalar loop
 preserved in :func:`repro.bench.naive.naive_fabric_allocate`, and the
 monitor's samples are checked across a cumulative-counter reset.
@@ -32,6 +39,7 @@ monitor's samples are checked across a cumulative-counter reset.
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import given, settings
@@ -40,7 +48,10 @@ from hypothesis import strategies as st
 from repro.bench.naive import naive_cluster_step, naive_fabric_allocate
 from repro.frameworks.executor import CompositeDriver, ExecutorDriver
 from repro.frameworks.jobs import Job, Task, TaskWork
+from repro.hardware.cpu import allocate_cpu_table
+from repro.hardware.disk import _disk_plan
 from repro.hardware.host import PhysicalHost, step_hosts
+from repro.hardware.memsys import _mem_plan
 from repro.hardware.network import Flow, NetworkFabric
 from repro.hardware.resources import (
     NetFlowDemand,
@@ -49,7 +60,7 @@ from repro.hardware.resources import (
     ZERO_DEMAND,
 )
 from repro.hardware.specs import R630
-from repro.hardware.table import GuestTable, row_sums, seq_sum
+from repro.hardware.table import _KEY_ROWS, GuestTable, row_sums, seq_sum
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.virt.cluster import Cluster
@@ -407,6 +418,155 @@ def test_cluster_step_matches_per_host_oracles_bitwise(world):
         assert fast.fabric.utilization == slow.fabric.utilization
         assert fast.delivery_log == slow.delivery_log
         _assert_physical(fast, got, dt)
+
+
+# ------------------------------------------------------------ plan reuse
+@st.composite
+def _churn_worlds(draw):
+    return {
+        "sizes": draw(st.lists(st.sampled_from([1, 5, 16]),
+                               min_size=1, max_size=3)),
+        "load": draw(st.sampled_from([0.001, 0.05, 1.0])),
+        "seed": draw(st.integers(min_value=0, max_value=2**32 - 1)),
+        "ticks": draw(st.integers(min_value=2, max_value=8)),
+    }
+
+
+_DISK_RATES = (("read_iops", 6e4), ("write_iops", 6e4),
+               ("read_bytes_ps", 1.5e9), ("write_bytes_ps", 1.5e9))
+
+
+def _build_churn_world(world):
+    """Constant CPU and memory demands; some guests redraw their disk
+    rates every tick, so only the disk plan is ever stale."""
+    rng = np.random.default_rng(world["seed"])
+    cluster = Cluster(Simulator(seed=world["seed"] % 1000))
+    cluster.delivery_log = []
+    load = world["load"]
+    for h, n in enumerate(world["sizes"]):
+        host = cluster.add_host(f"h{h}", R630).name
+        for j in range(n):
+            name = f"h{h}v{j:02d}"
+            vm = cluster.boot_vm(name, host, vcpus=int(rng.integers(1, 5)))
+            _random_caps(rng, vm)
+            base = _random_demand(rng, (), load)
+            pi = int(rng.integers(3))
+            schedule = [(base, pi)]
+            churn = base is not None and rng.random() < 0.3
+            for _ in range(world["ticks"]):
+                d = schedule[-1][0]
+                if churn:
+                    # One disk rate per tick, so a key that misses any
+                    # one of them reuses a stale plan.
+                    field, scale = _DISK_RATES[int(rng.integers(4))]
+                    d = dataclasses.replace(
+                        d, **{field: float(rng.uniform(0, scale * load))})
+                schedule.append((d, pi))
+            driver = _ScriptedDriver(schedule, _WORLD_PROFILES,
+                                     cluster.delivery_log)
+            driver.name = name
+            vm.attach_workload(driver)
+    return cluster
+
+
+@settings(max_examples=60, deadline=None)
+@given(world=_churn_worlds())
+def test_reused_plans_meet_disk_churn_bitwise(world):
+    fast = _build_churn_world(world)
+    slow = _build_churn_world(world)
+    for _ in range(world["ticks"]):
+        fast.step(1.0)
+        want = naive_cluster_step(slow, 1.0)
+        table = fast.table
+        for k in table.rows():
+            g, s = table.grants[k], want[table.names[k]]
+            for f in _GRANT_FIELDS:
+                assert getattr(g, f) == getattr(s, f), (table.names[k], f)
+        for name, host in fast.hosts.items():
+            _assert_hosts_equal(host, slow.hosts[name])
+        assert fast.delivery_log == slow.delivery_log
+    # The CPU and memory rows never changed: one build each, at most.
+    stats = fast.table.stats
+    assert stats.cpu_plan_builds <= 1
+    assert stats.memsys_plan_builds <= 1
+
+
+def _fingerprint(x):
+    """Bit-exact, comparable form of a plan or a result slab."""
+    if isinstance(x, np.ndarray):
+        return (x.dtype.str, x.shape, x.tobytes())
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, (list, tuple)):
+        return [_fingerprint(v) for v in x]
+    if isinstance(x, SimpleNamespace):
+        return {k: _fingerprint(v) for k, v in sorted(vars(x).items())}
+    return x
+
+
+#: Per ``inputs`` row: the largest value drawn, and whether the row is
+#: a cap.  A quarter of the cells are 0.0, or +inf ("uncapped") in a
+#: cap row; ``load`` scales the disk rates, rows 4-7.
+_ROW_SCALES = ((12.0, False), (8.0, True), (40.0, False), (200.0, False),
+               (6e4, False), (1.5e9, False), (6e4, False), (1.5e9, False),
+               (5e4, True), (1e9, True))
+
+
+def _random_inputs(rng, shape, load):
+    out = np.empty((len(_ROW_SCALES),) + shape)
+    for r, (scale, cap) in enumerate(_ROW_SCALES):
+        vals = rng.uniform(0.0, scale * (1.0 if cap or r < 4 else load),
+                           size=shape)
+        vals[rng.random(shape) < 0.25] = np.inf if cap else 0.0
+        out[r] = vals
+    return out
+
+
+def _kernel_outputs(table, dt):
+    """Build every kernel's plan from the current inputs, in
+    ``step_hosts`` order; each kernel's plan and the result rows its
+    build writes."""
+    table.io_out[...] = -1.0
+    table.mem_out[3] = -1.0
+    util = allocate_cpu_table(table)
+    disk = _disk_plan(table, dt)
+    mem = _mem_plan(table, dt)
+    return {
+        "cpu": _fingerprint([util, table.cpu_grant]),
+        "disk": _fingerprint([disk, table.io_out[0:4]]),
+        "memsys": _fingerprint([mem, table.mem_out[3]]),
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(sizes=st.lists(st.integers(min_value=1, max_value=12),
+                      min_size=1, max_size=3),
+       load=st.sampled_from([0.001, 0.05, 1.0]),
+       dt=st.sampled_from([0.5, 1.0]),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_plan_keys_cover_every_row_a_kernel_reads(sizes, load, dt, seed):
+    # Rows outside a kernel's key may take any values: its plan, and the
+    # result rows the build writes, must not change by a bit.  A kernel
+    # edit that reads a row without adding it to the key fails here.
+    rng = np.random.default_rng(seed)
+    hosts = []
+    for h, n in enumerate(sizes):
+        host = PhysicalHost(f"p{h}", R630, RngRegistry(23))
+        for i in range(n):
+            host.attach(VM(f"vm{i:02d}", vcpus=int(rng.integers(1, 5))))
+        hosts.append(host)
+    table = GuestTable(hosts)
+    table.rebuild()
+    shape = table.inputs.shape[1:]
+    base = _random_inputs(rng, shape, load)
+    for kernel, rows in _KEY_ROWS.items():
+        table.inputs[...] = base
+        want = _kernel_outputs(table, dt)[kernel]
+        other = _random_inputs(rng, shape, load)
+        outside = np.ones(len(_ROW_SCALES), dtype=bool)
+        outside[rows] = False
+        table.inputs[outside] = other[outside]
+        assert _kernel_outputs(table, dt)[kernel] == want, kernel
 
 
 # ------------------------------------------------------ parked executors

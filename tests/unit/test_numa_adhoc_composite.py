@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.adhoc import AdHocController
 from repro.core.config import PerfCloudConfig
-from repro.frameworks.executor import CompositeDriver
+from repro.frameworks.executor import CompositeDriver, blend_profiles
 from repro.hardware.memsys import MemRequest
 from repro.hardware.numa import NumaMemorySystem, numa_isolate
 from repro.hardware.resources import (
@@ -204,3 +204,27 @@ def test_composite_profile_blend():
     comp = CompositeDriver([a, b])
     comp.demand()
     assert comp.profile.base_cpi == pytest.approx(1.75)
+
+
+def test_composite_profile_read_polls_no_child():
+    class _Counting(_Child):
+        polls = 0
+
+        def demand(self):
+            _Counting.polls += 1
+            return super().demand()
+
+    fast = PerfProfile(base_cpi=0.8)
+    slow = PerfProfile(base_cpi=1.6)
+    comp = CompositeDriver([_Counting(1.0, 0.0, fast),
+                            _Counting(3.0, 0.0, slow)])
+    # Nothing polled yet: the children weigh equally, and reading the
+    # property leaves them unpolled.
+    assert comp.profile == blend_profiles([fast, slow], [1.0, 1.0])
+    assert comp.profile.base_cpi == pytest.approx(1.2)
+    assert _Counting.polls == 0
+    # After a poll the CPU demands weigh the blend.
+    comp.demand()
+    assert _Counting.polls == 2
+    assert comp.profile == blend_profiles([fast, slow], [1.0, 3.0])
+    assert _Counting.polls == 2

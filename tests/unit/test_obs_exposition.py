@@ -116,6 +116,10 @@ def test_snapshot_covers_every_counter_surface(live):
         "repro_dataplane_rows_delivered_total",
         "repro_dataplane_busy_host_steps_total",
         "repro_dataplane_idle_host_steps_total",
+        "repro_dataplane_busy_ticks_total",
+        "repro_dataplane_cpu_plan_builds_total",
+        "repro_dataplane_disk_plan_builds_total",
+        "repro_dataplane_memsys_plan_builds_total",
         # telemetry
         "repro_incidents_opened_total",
         "repro_incidents_resolved_total",
@@ -142,6 +146,12 @@ def test_live_snapshot_renders_and_parses(live):
     delivered = parsed["repro_dataplane_rows_delivered_total"][()]
     assert 0 < delivered < visited
     assert parsed["repro_dataplane_busy_host_steps_total"][()] > 0
+    # Every busy tick runs each kernel once: it builds its plan or
+    # reuses the one cached for its rows.
+    busy = parsed["repro_dataplane_busy_ticks_total"][()]
+    for kernel in ("cpu", "disk", "memsys"):
+        builds = parsed[f"repro_dataplane_{kernel}_plan_builds_total"][()]
+        assert 0 < builds <= busy
     for samples in parsed.values():
         for value in samples.values():
             assert math.isfinite(value)
