@@ -90,3 +90,18 @@ def test_scenario_quick_subset_serial_equals_parallel():
     parallel = run_corpus(specs, workers=4)
     assert json.dumps(serial.to_jsonable(timing=False), sort_keys=True) \
         == json.dumps(parallel.to_jsonable(timing=False), sort_keys=True)
+
+
+#: First 16 hex characters of the hash over every scenario record's
+#: outcome metrics.  The corpus (spec) digest hashes only definitions, so
+#: this is the pin that moves when any scenario's outcome moves.
+_CORPUS_OUTCOME_DIGEST = "2edbd9784536c834"
+
+
+def test_scenario_corpus_outcome_is_pinned():
+    from repro.experiments.cache import stable_hash
+    from repro.scenarios import load_corpus, run_corpus
+
+    doc = run_corpus(load_corpus()).to_jsonable(timing=False)["scenarios"]
+    outcome = sorted((s["name"], s["metrics"]) for s in doc)
+    assert stable_hash(outcome)[:16] == _CORPUS_OUTCOME_DIGEST
