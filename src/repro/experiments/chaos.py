@@ -11,6 +11,11 @@ still completes; the :class:`ChaosResult` reports the survival counters
 (samples dropped, actuations retried, caps reconciled, ...) next to the
 injected-fault totals.
 
+The world itself is a scenario :class:`~repro.scenarios.spec.WorldDef`
+(:meth:`ChaosScenario.world`), run through the scenario corpus's
+:func:`~repro.scenarios.world.execute_world` and so built by
+:func:`~repro.experiments.harness.build_testbed` like every figure.
+
 Everything is driven by the simulator's seeded RNG streams, so the same
 seed and fault plan reproduce the identical fault trace and survival
 summary — ``ChaosResult.trace_digest`` pins that determinism in tests.
@@ -19,14 +24,12 @@ summary — ``ChaosResult.trace_digest`` pins that determinism in tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-from repro.core.config import PerfCloudConfig
-from repro.experiments.harness import TestbedConfig, build_testbed, run_until
-from repro.faults.injector import FaultInjector
 from repro.faults.spec import CrashEvent, FaultPlan
-from repro.workloads.datagen import teragen
-from repro.workloads.puma import PUMA_BENCHMARKS
+
+if TYPE_CHECKING:
+    from repro.scenarios.spec import WorldDef
 
 __all__ = ["ChaosScenario", "ChaosResult", "default_fault_plan", "run_chaos"]
 
@@ -82,6 +85,27 @@ class ChaosScenario:
     cooldown_s: float = 60.0
     plan: FaultPlan = field(default_factory=default_fault_plan)
 
+    def world(self) -> "WorldDef":
+        """This scenario as a scenario world: one R630 host, one terasort
+        job, the antagonists (host ``None`` is host 0), the fault plan
+        and the default PerfCloud policy."""
+        # Imported here: the scenarios package imports this one.
+        from repro.scenarios.spec import (
+            AntagonistDef, HostDef, JobDef, WorkloadDef, WorldDef,
+        )
+
+        job = JobDef(kind="mapreduce", benchmark="terasort",
+                     size_mb=self.size_mb, reducers=10)
+        return WorldDef(
+            seed=self.seed, horizon=self.horizon, cooldown_s=self.cooldown_s,
+            hosts=(HostDef(),),
+            workload=WorkloadDef(framework="mapreduce",
+                                 workers=self.num_workers, jobs=(job,)),
+            antagonists=tuple(AntagonistDef(kind=kind, host=host or 0)
+                              for kind, host in self.antagonists),
+            faults=self.plan,
+        )
+
 
 @dataclass
 class ChaosResult:
@@ -108,30 +132,15 @@ class ChaosResult:
         return self.completed and self.agents_alive
 
 
-def run_chaos(
-    scenario: Optional[ChaosScenario] = None,
-    config: Optional[PerfCloudConfig] = None,
-) -> ChaosResult:
+def run_chaos(scenario: Optional[ChaosScenario] = None) -> ChaosResult:
     """Run the mitigation scenario under the scenario's fault plan."""
-    sc = scenario or ChaosScenario()
-    testbed = build_testbed(
-        TestbedConfig(
-            seed=sc.seed, num_workers=sc.num_workers, framework="mapreduce",
-            antagonists=sc.antagonists,
-        )
-    )
-    injector = FaultInjector(testbed.sim, sc.plan, cluster=testbed.cluster)
-    perfcloud = testbed.deploy_perfcloud(config, fault_injector=injector)
-    spec = PUMA_BENCHMARKS["terasort"]()
-    job = testbed.jobtracker.submit(spec, teragen(sc.size_mb), num_reducers=10)
-    completed = run_until(
-        testbed.sim, lambda: job.completion_time is not None, sc.horizon
-    )
-    if sc.cooldown_s > 0:
-        testbed.run(sc.cooldown_s)
+    from repro.scenarios.world import execute_world
+
+    run = execute_world((scenario or ChaosScenario()).world())
+    perfcloud, injector = run.perfcloud, run.injector
     return ChaosResult(
-        completed=completed,
-        jct=job.completion_time,
+        completed=run.completed,
+        jct=run.job_slots[0]["job"].completion_time,
         agents_alive=perfcloud.all_agents_alive(),
         survival=perfcloud.survival_summary(),
         fault_counts=injector.fault_counts(),

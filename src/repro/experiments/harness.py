@@ -1,65 +1,52 @@
-"""Testbed assembly for the evaluation scenarios.
+"""Testbed assembly: the one builder of every experiment world.
 
 A :class:`TestbedConfig` declares the world (hosts, worker VMs, framework,
 antagonists); :func:`build_testbed` assembles it into a :class:`Testbed`
 whose fields expose every layer — so figure runners stay short and
-readable.  Antagonists can be attached at build time or injected later
-(the large-scale runs re-randomize their placement per job execution).
+readable.  The figures, ``repro chaos`` and every scenario world build
+through it.  Antagonists come from the registry in
+:mod:`~repro.workloads.antagonists`; they are attached at build time or
+injected later (the large-scale runs re-randomize their placement).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cloud.nova import CloudManager
 from repro.core.config import PerfCloudConfig
 from repro.core.perfcloud import PerfCloud
 from repro.core.policies import StaticCapPolicy
+from repro.frameworks.executor import CompositeDriver
 from repro.frameworks.hdfs import HdfsCluster
 from repro.frameworks.mapreduce.jobtracker import JobTracker
 from repro.frameworks.spark.driver import SparkScheduler
-from repro.frameworks.speculation import LateSpeculation, SpeculationPolicy
-from repro.hardware.specs import HostSpec, R630
+from repro.frameworks.speculation import SpeculationPolicy
+from repro.hardware.specs import HostSpec
 from repro.sim.engine import Simulator
 from repro.virt.cluster import Cluster
 from repro.virt.vm import VM, Priority
-from repro.workloads.antagonists import (
-    AdaptiveFio,
-    FioRandomRead,
-    StreamBenchmark,
-    SysbenchCpu,
-    SysbenchOltp,
-)
+from repro.workloads.antagonists import ANTAGONISTS
 
-__all__ = ["TestbedConfig", "Testbed", "build_testbed", "make_antagonist", "run_until"]
-
-#: Antagonist factory registry: name -> (flavor, driver factory).
-_ANTAGONISTS: Dict[str, Tuple[str, Callable[[], object]]] = {
-    "fio": ("m1.large", FioRandomRead),
-    "stream": ("m1.2xlarge", StreamBenchmark),
-    # Fig. 6's setup: small STREAM VMs that only hurt in groups.
-    "stream-small": ("m1.large", StreamBenchmark),
-    "oltp": ("m1.large", lambda: SysbenchOltp(duration_s=None)),
-    "sysbench-cpu": ("m1.large", SysbenchCpu),
-    # Episodic variants for the identification case studies (Figs. 5/6):
-    # distinct on/off phases are what the victim signal locks onto.
-    "fio-episodic": ("m1.large", lambda: FioRandomRead(on_s=30.0, off_s=20.0)),
-    "stream-episodic": (
-        "m1.large",
-        lambda: StreamBenchmark(threads=8, on_s=35.0, off_s=25.0),
-    ),
-    # Throttle-evading fio for the adaptive-antagonist scenarios.
-    "fio-adaptive": ("m1.large", AdaptiveFio),
-}
+__all__ = ["TestbedConfig", "Testbed", "antagonist_vm_name", "build_testbed",
+           "make_antagonist", "run_until"]
 
 
-def make_antagonist(kind: str):
-    """Instantiate an antagonist driver by registry name."""
-    if kind not in _ANTAGONISTS:
-        raise KeyError(f"unknown antagonist {kind!r}; know {sorted(_ANTAGONISTS)}")
-    _, factory = _ANTAGONISTS[kind]
-    return factory()
+def make_antagonist(kind: str, **params: Any):
+    """Instantiate an antagonist driver by registry name; ``params``
+    override the kind's defaults."""
+    if kind not in ANTAGONISTS:
+        raise KeyError(f"unknown antagonist {kind!r}; know {sorted(ANTAGONISTS)}")
+    _, factory = ANTAGONISTS[kind]
+    return factory(**params)
+
+
+def antagonist_vm_name(stems: Sequence[str], i: int) -> str:
+    """VM name of the ``i``-th antagonist among ``stems`` (in boot
+    order): the first ``fio`` is ``fio``, the second ``fio-2``, …"""
+    n = stems[: i + 1].count(stems[i])
+    return stems[i] if n == 1 else f"{stems[i]}-{n}"
 
 
 @dataclass
@@ -76,7 +63,8 @@ class TestbedConfig:
     framework: str = "mapreduce"  # "mapreduce" | "spark" | "both"
     #: (kind, host_index) pairs; host_index None = same host as workers 0.
     antagonists: Sequence[Tuple[str, Optional[int]]] = ()
-    host_spec: HostSpec = field(default_factory=lambda: R630)
+    #: Spec *i* goes to host *i*; hosts past the end are R630s.
+    host_specs: Sequence[HostSpec] = ()
     speculation: Optional[SpeculationPolicy] = None
     #: Job-ordering discipline: "fifo" (Hadoop default) or "fair".
     scheduler_policy: str = "fifo"
@@ -85,6 +73,8 @@ class TestbedConfig:
     def __post_init__(self) -> None:
         if self.num_hosts < 1 or self.num_workers < 1:
             raise ValueError("need at least one host and one worker")
+        if len(self.host_specs) > self.num_hosts:
+            raise ValueError("more host specs than hosts")
 
 
 @dataclass
@@ -130,15 +120,22 @@ class Testbed:
         return self.perfcloud
 
     def add_antagonist(
-        self, name: str, kind: str, host: Optional[str] = None
+        self, name: str, kind: str, host: Optional[str] = None, *,
+        params: Sequence[Tuple[str, Any]] = (), start_s: float = 0.0,
     ) -> VM:
-        """Boot one more antagonist VM (used by re-randomizing runs)."""
-        flavor, _ = _ANTAGONISTS[kind]
+        """Boot one more antagonist VM of a registry ``kind``; ``params``
+        override its driver defaults, and the driver attaches at sim time
+        ``start_s``."""
+        flavor, _ = ANTAGONISTS[kind]
         vm = self.cloud.boot(
             name, flavor, priority=Priority.LOW, host=host
         )
-        driver = make_antagonist(kind)
-        vm.attach_workload(driver)
+        driver = make_antagonist(kind, **dict(params))
+        if start_s <= 0:
+            vm.attach_workload(driver)
+        else:
+            self.sim.schedule_at(start_s, lambda: vm.attach_workload(driver),
+                                 name=f"attach-{name}")
         self.antagonist_vms[name] = vm
         self.antagonist_drivers[name] = driver
         return vm
@@ -163,12 +160,13 @@ class Testbed:
 def build_testbed(config: TestbedConfig) -> Testbed:
     """Assemble a testbed from its config."""
     sim = Simulator(dt=config.dt, seed=config.seed)
-    cluster = Cluster(sim, default_spec=config.host_spec)
+    cluster = Cluster(sim)
     for i in range(config.num_hosts):
-        cluster.add_host(f"server{i:02d}")
+        spec = config.host_specs[i] if i < len(config.host_specs) else None
+        cluster.add_host(f"server{i:02d}", spec=spec)
     cloud = CloudManager(cluster)
 
-    hosts = sorted(cluster.hosts)
+    hosts = list(cluster.hosts)  # index order, not name order
     workers: List[VM] = []
     for i in range(config.num_workers):
         workers.append(
@@ -201,8 +199,6 @@ def build_testbed(config: TestbedConfig) -> Testbed:
     if jobtracker is not None and spark is not None:
         # Both slave daemons colocate on every worker node (paper §IV-A):
         # multiplex the two executors onto each VM.
-        from repro.frameworks.executor import CompositeDriver
-
         for vm in workers:
             vm.attach_workload(
                 CompositeDriver(
@@ -222,12 +218,10 @@ def build_testbed(config: TestbedConfig) -> Testbed:
         antagonist_vms={},
         antagonist_drivers={},
     )
-    counters: Dict[str, int] = {}
-    for kind, host_idx in config.antagonists:
-        counters[kind] = counters.get(kind, 0) + 1
-        suffix = "" if counters[kind] == 1 else f"-{counters[kind]}"
-        host = hosts[host_idx % len(hosts)] if host_idx is not None else hosts[0]
-        testbed.add_antagonist(f"{kind}{suffix}", kind, host=host)
+    kinds = [kind for kind, _ in config.antagonists]
+    for i, (kind, host_idx) in enumerate(config.antagonists):
+        testbed.add_antagonist(antagonist_vm_name(kinds, i), kind,
+                               host=hosts[(host_idx or 0) % len(hosts)])
     return testbed
 
 

@@ -27,6 +27,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 from repro.core.config import PerfCloudConfig
 from repro.experiments.cache import stable_hash
 from repro.faults.spec import CrashEvent, FaultPlan
+from repro.workloads.antagonists import ANTAGONISTS
 
 __all__ = [
     "AntagonistDef",
@@ -42,21 +43,10 @@ __all__ = [
     "scenario_hash",
 ]
 
-#: Antagonist kinds the world builder knows how to boot.  Everything but
-#: ``iperf-pair`` maps to the experiment harness's antagonist registry;
-#: ``iperf-pair`` expands into two VMs streaming at each other (the
-#: paper's network blind spot).
-ANTAGONIST_KINDS = (
-    "fio",
-    "fio-adaptive",
-    "fio-episodic",
-    "iperf-pair",
-    "oltp",
-    "stream",
-    "stream-episodic",
-    "stream-small",
-    "sysbench-cpu",
-)
+#: Antagonist kinds the world builder knows how to boot: the single-VM
+#: registry plus ``iperf-pair``, which expands into two VMs streaming at
+#: each other (the paper's network blind spot).
+ANTAGONIST_KINDS = tuple(sorted([*ANTAGONISTS, "iperf-pair"]))
 
 #: Comparators the scorer implements (see scorer.py for semantics).
 OPS = (

@@ -2,11 +2,18 @@
 
 :func:`run_world` is the pure function under the corpus: a
 :class:`~repro.scenarios.spec.WorldDef` in, a flat metrics mapping out.
-Everything in between — topology, framework, job submissions, antagonist
-schedule, fault injection, policy — is driven from the definition and
-the simulator's seeded RNG streams, so equal definitions produce
-byte-identical metrics in any process (what the determinism tests and
-the result cache rely on).
+It takes two steps.  :func:`execute_world` builds the world through
+:func:`~repro.experiments.harness.build_testbed` — the same builder as
+the figures — then adds what only scenarios declare (bystander apps,
+timed antagonists, iperf pairs, faults, policy, jobs and traffic), runs
+it and returns the live objects as a :class:`WorldRun`;
+:func:`world_metrics` reads the metrics off them.  ``repro chaos`` runs
+its world through :func:`execute_world` too.
+
+Everything in between is driven from the definition and the simulator's
+seeded RNG streams, so equal definitions produce byte-identical metrics
+in any process (what the determinism tests and the result cache rely
+on).
 
 The metric names produced here are the vocabulary scenario expectations
 are written in; ``docs/SCENARIOS.md`` documents each one.
@@ -14,14 +21,19 @@ are written in; ``docs/SCENARIOS.md`` documents each one.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cloud.nova import CloudManager
 from repro.core.perfcloud import PerfCloud
-from repro.experiments.harness import run_until
+from repro.experiments.harness import (
+    Testbed,
+    TestbedConfig,
+    antagonist_vm_name,
+    build_testbed,
+    run_until,
+)
 from repro.faults.injector import FaultInjector
 from repro.hardware.specs import HostSpec, NicSpec, R630
 from repro.obs import Telemetry
@@ -31,17 +43,8 @@ from repro.scenarios.spec import (
     ScenarioError,
     WorldDef,
 )
-from repro.sim.engine import Simulator
-from repro.virt.cluster import Cluster
-from repro.virt.vm import VM, Priority
-from repro.workloads.antagonists import (
-    AdaptiveFio,
-    FioRandomRead,
-    IperfStream,
-    StreamBenchmark,
-    SysbenchCpu,
-    SysbenchOltp,
-)
+from repro.virt.vm import Priority
+from repro.workloads.antagonists import AdaptiveFio, IperfStream
 from repro.workloads.datagen import sparkbench_synthetic, teragen, wikipedia
 from repro.workloads.mix import (
     JobRequest,
@@ -52,33 +55,8 @@ from repro.workloads.mix import (
 from repro.workloads.puma import PUMA_BENCHMARKS
 from repro.workloads.sparkbench import SPARKBENCH_BENCHMARKS
 
-__all__ = ["antagonist_names", "build_host_spec", "run_world"]
-
-#: Driver factories for single-VM antagonist kinds; ``params`` from the
-#: definition are passed straight through as keyword overrides.
-_DRIVER_FACTORIES = {
-    "fio": FioRandomRead,
-    "fio-adaptive": AdaptiveFio,
-    "fio-episodic": lambda **kw: FioRandomRead(**{"on_s": 30.0, "off_s": 20.0, **kw}),
-    "oltp": lambda **kw: SysbenchOltp(**{"duration_s": None, **kw}),
-    "stream": StreamBenchmark,
-    "stream-episodic": lambda **kw: StreamBenchmark(
-        **{"threads": 8, "on_s": 35.0, "off_s": 25.0, **kw}
-    ),
-    "stream-small": StreamBenchmark,
-    "sysbench-cpu": SysbenchCpu,
-}
-
-_FLAVORS = {
-    "fio": "m1.large",
-    "fio-adaptive": "m1.large",
-    "fio-episodic": "m1.large",
-    "oltp": "m1.large",
-    "stream": "m1.2xlarge",
-    "stream-episodic": "m1.large",
-    "stream-small": "m1.large",
-    "sysbench-cpu": "m1.large",
-}
+__all__ = ["WorldRun", "antagonist_names", "build_host_spec", "execute_world",
+           "run_world", "world_metrics"]
 
 
 def build_host_spec(h: HostDef) -> HostSpec:
@@ -104,24 +82,14 @@ def antagonist_names(
     unless the definition names itself; an ``iperf-pair`` expands into
     ``<base>-a`` and ``<base>-b``.
     """
-    if a.name is not None:
-        base = a.name
-    else:
-        ordinal = sum(1 for x in all_defs[: all_defs.index(a) + 1]
-                      if x.kind == a.kind)
-        stem = "iperf" if a.kind == "iperf-pair" else a.kind
-        base = stem if ordinal == 1 else f"{stem}-{ordinal}"
+    base = a.name
+    if base is None:
+        stems = ["iperf" if x.kind == "iperf-pair" else x.kind
+                 for x in all_defs]
+        base = antagonist_vm_name(stems, all_defs.index(a))
     if a.kind == "iperf-pair":
         return (f"{base}-a", f"{base}-b")
     return (base,)
-
-
-def _make_driver(kind: str, params: Dict[str, Any]):
-    factory = _DRIVER_FACTORIES[kind]
-    try:
-        return factory(**params)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"antagonist.{kind}.params", str(exc)) from exc
 
 
 def _traffic_requests(world: WorldDef) -> List[JobRequest]:
@@ -156,7 +124,19 @@ def _traffic_requests(world: WorldDef) -> List[JobRequest]:
     return list(mix)
 
 
-def _submit_explicit(world: WorldDef, jobtracker, spark, job_slots, sim) -> None:
+def _at(sim, t: float, fn, name: str) -> None:
+    """Call ``fn`` now, or at sim time ``t`` when that is in the future."""
+    if t <= 0:
+        fn()
+    else:
+        sim.schedule_at(t, fn, name=name)
+
+
+def _submit_jobs(world: WorldDef, testbed: Testbed) -> List[Dict[str, Any]]:
+    """Schedule the explicit jobs, then the traffic mix; one
+    ``{"job", "victim"}`` slot per job, filled in at submit time."""
+    jobtracker, spark = testbed.jobtracker, testbed.spark
+    job_slots: List[Dict[str, Any]] = []
     for jdef in world.workload.jobs:
         slot: Dict[str, Any] = {"job": None, "victim": jdef.victim}
         job_slots.append(slot)
@@ -187,16 +167,10 @@ def _submit_explicit(world: WorldDef, jobtracker, spark, job_slots, sim) -> None
                     spec, sparkbench_synthetic(jdef.benchmark, jdef.size_mb)
                 )
 
-        if jdef.submit_at <= 0:
-            submit()
-        else:
-            sim.schedule_at(jdef.submit_at, submit,
-                            name=f"submit-{jdef.benchmark}")
+        _at(testbed.sim, jdef.submit_at, submit, f"submit-{jdef.benchmark}")
 
-
-def _submit_traffic(requests, jobtracker, spark, job_slots, sim) -> None:
-    for req in requests:
-        slot: Dict[str, Any] = {"job": None, "victim": False}
+    for req in _traffic_requests(world):
+        slot = {"job": None, "victim": False}
         job_slots.append(slot)
 
         def submit(req=req, slot=slot):
@@ -208,150 +182,125 @@ def _submit_traffic(requests, jobtracker, spark, job_slots, sim) -> None:
                 spec = SPARKBENCH_BENCHMARKS[req.benchmark]()
                 slot["job"] = spark.submit(spec, req.dataset)
 
-        if req.submit_time <= 0:
-            submit()
-        else:
-            sim.schedule_at(req.submit_time, submit,
-                            name=f"submit-{req.benchmark}")
+        _at(testbed.sim, req.submit_time, submit, f"submit-{req.benchmark}")
+    return job_slots
 
 
-def run_world(world: WorldDef) -> Dict[str, Any]:
-    """Execute one world definition; return its outcome metrics."""
-    wl = world.workload
-    sim = Simulator(dt=world.dt, seed=world.seed)
-    cluster = Cluster(sim)
-    host_names = []
-    for i, hdef in enumerate(world.hosts):
-        name = f"server{i:02d}"
-        cluster.add_host(name, spec=build_host_spec(hdef))
-        host_names.append(name)
-    cloud = CloudManager(cluster)
+def _jcts(slots: List[Dict[str, Any]]) -> List[float]:
+    """Completion times of the finished jobs among ``slots``."""
+    return [float(s["job"].completion_time) for s in slots
+            if s["job"] is not None and s["job"].completion_time is not None]
 
-    workers: List[VM] = [
-        cloud.boot(f"worker{i:03d}", "m1.large", priority=Priority.HIGH,
-                   app_id=wl.app_id, host=host_names[i % len(host_names)])
-        for i in range(wl.workers)
-    ]
-    from repro.frameworks.hdfs import HdfsCluster
 
-    hdfs = HdfsCluster([w.name for w in workers], sim.rng.stream("hdfs"),
-                       replication=3)
-    jobtracker = spark = None
-    if wl.framework in ("mapreduce", "both"):
-        from repro.frameworks.mapreduce.jobtracker import JobTracker
+def _boot_iperf_pair(testbed: Testbed, adef: AntagonistDef,
+                     names: Tuple[str, ...]) -> None:
+    params = dict(adef.params)
+    rate = float(params.pop("rate_gbps", 9.0))
+    streams = int(params.pop("streams", 16))
+    if params:
+        raise ScenarioError(
+            "antagonist.iperf-pair.params",
+            f"unknown params {sorted(params)} (known: rate_gbps, streams)",
+        )
+    hosts = list(testbed.cluster.hosts)
+    vm_a = testbed.cloud.boot(names[0], host=hosts[adef.host])
+    vm_b = testbed.cloud.boot(names[1], host=hosts[adef.peer_host])
 
-        jobtracker = JobTracker(sim, workers, hdfs, policy=wl.scheduler_policy)
-    if wl.framework in ("spark", "both"):
-        from repro.frameworks.spark.driver import SparkScheduler
-
-        spark = SparkScheduler(sim, workers, hdfs, name="spark",
-                               policy=wl.scheduler_policy)
-    if jobtracker is not None and spark is not None:
-        from repro.frameworks.executor import CompositeDriver
-
-        for vm in workers:
-            vm.attach_workload(CompositeDriver(
-                [jobtracker.executors[vm.name], spark.executors[vm.name]]
+    def attach_pair():
+        for vm, peer in ((vm_a, names[1]), (vm_b, names[0])):
+            vm.attach_workload(IperfStream(
+                peer_vm=peer, rate_gbps=rate, streams=streams,
             ))
 
+    _at(testbed.sim, adef.start_s, attach_pair, f"attach-{names[0]}")
+
+
+@dataclass
+class WorldRun:
+    """The live objects of one executed world."""
+
+    world: WorldDef
+    testbed: Testbed
+    injector: Optional[FaultInjector]
+    perfcloud: Optional[PerfCloud]
+    #: One ``{"job", "victim"}`` slot per submitted job, in submit order.
+    job_slots: List[Dict[str, Any]]
+    #: VM names of the antagonists declared guilty (ground truth).
+    guilty: List[str]
+    #: Every job finished within the horizon.
+    completed: bool
+
+
+def execute_world(world: WorldDef) -> WorldRun:
+    """Build ``world`` through :func:`build_testbed`, run it until every
+    job is done (or the horizon) plus the cooldown; return the live
+    objects."""
+    wl = world.workload
+    testbed = build_testbed(TestbedConfig(
+        seed=world.seed, dt=world.dt, num_hosts=len(world.hosts),
+        num_workers=wl.workers, framework=wl.framework,
+        host_specs=[build_host_spec(h) for h in world.hosts],
+        scheduler_policy=wl.scheduler_policy, app_id=wl.app_id,
+    ))
+    hosts = list(testbed.cluster.hosts)
     for app_id, count in wl.bystander_apps:
         for i in range(count):
-            cloud.boot(f"{app_id}{i:03d}", "m1.large", priority=Priority.HIGH,
-                       app_id=app_id, host=host_names[i % len(host_names)])
+            testbed.cloud.boot(f"{app_id}{i:03d}", "m1.large",
+                               priority=Priority.HIGH, app_id=app_id,
+                               host=hosts[i % len(hosts)])
 
-    # ----------------------------------------------------------- antagonists
-    adaptive_drivers: List[AdaptiveFio] = []
     guilty: List[str] = []
     for adef in world.antagonists:
-        names = antagonist_names(adef, list(world.antagonists))
-        params = dict(adef.params)
+        names = antagonist_names(adef, world.antagonists)
         if adef.kind == "iperf-pair":
-            rate = float(params.pop("rate_gbps", 9.0))
-            streams = int(params.pop("streams", 16))
-            if params:
-                raise ScenarioError(
-                    "antagonist.iperf-pair.params",
-                    f"unknown params {sorted(params)} "
-                    "(known: rate_gbps, streams)",
-                )
-            vm_a = cloud.boot(names[0], host=host_names[adef.host])
-            vm_b = cloud.boot(names[1], host=host_names[adef.peer_host])
-            pair = ((vm_a, names[1]), (vm_b, names[0]))
-
-            def attach_pair(pair=pair, rate=rate, streams=streams):
-                for vm, peer in pair:
-                    vm.attach_workload(IperfStream(
-                        peer_vm=peer, rate_gbps=rate, streams=streams,
-                    ))
-
-            if adef.start_s <= 0:
-                attach_pair()
-            else:
-                sim.schedule_at(adef.start_s, attach_pair,
-                                name=f"attach-{names[0]}")
+            _boot_iperf_pair(testbed, adef, names)
         else:
-            vm = cloud.boot(names[0], _FLAVORS[adef.kind],
-                            host=host_names[adef.host])
-            driver = _make_driver(adef.kind, params)
-            if isinstance(driver, AdaptiveFio):
-                adaptive_drivers.append(driver)
-
-            def attach_one(vm=vm, driver=driver):
-                vm.attach_workload(driver)
-
-            if adef.start_s <= 0:
-                attach_one()
-            else:
-                sim.schedule_at(adef.start_s, attach_one,
-                                name=f"attach-{names[0]}")
+            try:
+                testbed.add_antagonist(
+                    names[0], adef.kind, host=hosts[adef.host],
+                    params=adef.params, start_s=adef.start_s,
+                )
+            except (TypeError, ValueError) as exc:
+                raise ScenarioError(f"antagonist.{adef.kind}",
+                                    str(exc)) from exc
         if adef.guilty:
             guilty.extend(names)
 
-    # -------------------------------------------------------- faults, policy
     injector = None
     if world.faults is not None:
-        injector = FaultInjector(sim, world.faults, cluster=cluster)
+        injector = FaultInjector(testbed.sim, world.faults,
+                                 cluster=testbed.cluster)
     perfcloud: Optional[PerfCloud] = None
-    telemetry = None
     if world.policy.kind == "perfcloud":
         # Ledger-only telemetry: incident lifecycles cost one dict update
         # per deviating interval and feed the scored metrics; spans stay
         # off — scenario runs don't need per-interval timing.
-        telemetry = Telemetry(ledger=True, spans=False)
-        perfcloud = PerfCloud(sim, cloud, world.policy.build_config(),
-                              fault_injector=injector,
-                              telemetry=telemetry)
-
-    # ------------------------------------------------------------------ jobs
-    job_slots: List[Dict[str, Any]] = []
-    _submit_explicit(world, jobtracker, spark, job_slots, sim)
-    _submit_traffic(_traffic_requests(world), jobtracker, spark,
-                    job_slots, sim)
-    if not job_slots:
-        raise ScenarioError("world.workload.jobs", "world submits no jobs")
-
-    def all_done() -> bool:
-        return all(
-            s["job"] is not None and s["job"].completion_time is not None
-            for s in job_slots
+        perfcloud = testbed.deploy_perfcloud(
+            world.policy.build_config(), fault_injector=injector,
+            telemetry=Telemetry(ledger=True, spans=False),
         )
 
-    completed = run_until(sim, all_done, world.horizon)
+    job_slots = _submit_jobs(world, testbed)
+    if not job_slots:
+        raise ScenarioError("world.workload.jobs", "world submits no jobs")
+    completed = run_until(
+        testbed.sim, lambda: len(_jcts(job_slots)) == len(job_slots),
+        world.horizon,
+    )
     if world.cooldown_s > 0:
-        sim.run_for(world.cooldown_s)
+        testbed.run(world.cooldown_s)
+    return WorldRun(world=world, testbed=testbed, injector=injector,
+                    perfcloud=perfcloud, job_slots=job_slots, guilty=guilty,
+                    completed=completed)
 
-    # --------------------------------------------------------------- metrics
-    jcts = [
-        float(s["job"].completion_time)
-        for s in job_slots
-        if s["job"] is not None and s["job"].completion_time is not None
-    ]
+
+def world_metrics(run: WorldRun) -> Dict[str, Any]:
+    """The outcome metrics of an executed world."""
+    job_slots, completed = run.job_slots, run.completed
+    perfcloud, injector = run.perfcloud, run.injector
+    jcts = _jcts(job_slots)
     victims = [s for s in job_slots if s["victim"]] or job_slots[:1]
-    victim_jcts = [
-        float(s["job"].completion_time)
-        for s in victims
-        if s["job"] is not None and s["job"].completion_time is not None
-    ]
+    victim_jcts = _jcts(victims)
     nan = float("nan")
     metrics: Dict[str, Any] = {
         "jobs_total": len(job_slots),
@@ -362,16 +311,20 @@ def run_world(world: WorldDef) -> Dict[str, Any]:
         "mean_jct": float(np.mean(jcts)) if jcts else nan,
         "max_jct": float(np.max(jcts)) if jcts else nan,
         "p95_jct": float(np.percentile(jcts, 95)) if jcts else nan,
-        "sim_now": float(sim.now),
-        "conflicts_reported": len(cloud.conflict_reports),
-        "adaptive_backoffs": sum(d.backoffs for d in adaptive_drivers),
+        "sim_now": float(run.testbed.sim.now),
+        "conflicts_reported": len(run.testbed.cloud.conflict_reports),
+        "adaptive_backoffs": sum(
+            d.backoffs for d in run.testbed.antagonist_drivers.values()
+            if isinstance(d, AdaptiveFio)
+        ),
     }
 
     if perfcloud is not None:
+        wl = run.world.workload
         actions = perfcloud.throttle_events()
         throttled = sorted({vm for (_, vm, _, cap) in actions
                             if cap is not None})
-        guilty_set = set(guilty)
+        guilty_set = set(run.guilty)
         false_pos = sorted(set(throttled) - guilty_set)
         app_ids = [wl.app_id] + [a for a, _ in wl.bystander_apps]
         max_io = max_cpi = 0.0
@@ -402,7 +355,7 @@ def run_world(world: WorldDef) -> Dict[str, Any]:
             "caps_reconciled": survival["caps_reconciled"],
             "actuations_retried": survival["actuations_retried"],
             "samples_dropped": survival["samples_dropped"],
-            "incidents": telemetry.ledger.summary_jsonable(),
+            "incidents": perfcloud.telemetry.ledger.summary_jsonable(),
         })
     else:
         metrics["survived"] = completed
@@ -413,6 +366,13 @@ def run_world(world: WorldDef) -> Dict[str, Any]:
             "faults_injected": int(sum(counts.values())),
             "fault_trace_digest": injector.digest(),
         })
-    if perfcloud is not None:
-        perfcloud.close()
+    return metrics
+
+
+def run_world(world: WorldDef) -> Dict[str, Any]:
+    """Execute one world definition; return its outcome metrics."""
+    run = execute_world(world)
+    metrics = world_metrics(run)
+    if run.perfcloud is not None:
+        run.perfcloud.close()
     return metrics

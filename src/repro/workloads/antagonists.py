@@ -19,17 +19,21 @@ saturates the same shared resource as its real counterpart:
   correlate with the victim's contention signal.
 * :class:`SysbenchCpu` — prime-number search: pure CPU, tiny working set,
   negligible I/O.  The other decoy.
+
+:data:`ANTAGONISTS` registers the kinds testbeds and scenarios boot by name.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional
+from functools import partial
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.hardware.resources import PerfProfile, ResourceDemand, ResourceGrant
 from repro.workloads.base import RateTracker, TimedDriver
 
 __all__ = [
+    "ANTAGONISTS",
     "AdaptiveFio",
     "FioRandomRead",
     "IperfStream",
@@ -370,3 +374,24 @@ class IperfStream(TimedDriver):
     def achieved_gbps(self) -> float:
         """Windowed delivered stream rate."""
         return self.delivered.rate() * 8.0 / 1e9
+
+
+#: Single-VM antagonist kinds: kind -> (flavor, driver factory).  Keyword
+#: arguments passed to a factory override the kind's defaults.
+ANTAGONISTS: Dict[str, Tuple[str, Callable[..., TimedDriver]]] = {
+    "fio": ("m1.large", FioRandomRead),
+    # Throttle-evading fio for the adaptive-antagonist scenarios.
+    "fio-adaptive": ("m1.large", AdaptiveFio),
+    # Episodic variants for the identification case studies (Figs. 5/6):
+    # distinct on/off phases are what the victim signal locks onto.
+    "fio-episodic": ("m1.large", partial(FioRandomRead, on_s=30.0, off_s=20.0)),
+    "oltp": ("m1.large", partial(SysbenchOltp, duration_s=None)),
+    "stream": ("m1.2xlarge", StreamBenchmark),
+    "stream-episodic": (
+        "m1.large",
+        partial(StreamBenchmark, threads=8, on_s=35.0, off_s=25.0),
+    ),
+    # Fig. 6's setup: small STREAM VMs that only hurt in groups.
+    "stream-small": ("m1.large", StreamBenchmark),
+    "sysbench-cpu": ("m1.large", SysbenchCpu),
+}

@@ -17,7 +17,7 @@ def _numa_run(isolate: bool, seed: int = 7) -> float:
     spec = replace(R630, numa_sockets=2)
     testbed = build_testbed(
         TestbedConfig(seed=seed, num_workers=6, framework="spark",
-                      antagonists=(("stream", None),), host_spec=spec)
+                      antagonists=(("stream", None),), host_specs=[spec])
     )
     host = testbed.cluster.hosts["server00"]
     assert isinstance(host.memsys, NumaMemorySystem)
@@ -63,7 +63,7 @@ def test_numa_host_still_detectable_by_perfcloud():
     spec = replace(R630, numa_sockets=2)
     testbed = build_testbed(
         TestbedConfig(seed=7, num_workers=6, framework="mapreduce",
-                      antagonists=(("fio", None),), host_spec=spec)
+                      antagonists=(("fio", None),), host_specs=[spec])
     )
     testbed.deploy_perfcloud()
     from repro.workloads.datagen import teragen

@@ -1,6 +1,7 @@
 """Unit tests for the experiment harness, report rendering, tracing, CLI."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -11,9 +12,12 @@ from repro.experiments.harness import (
     make_antagonist,
     run_until,
 )
+from repro.cloud.nova import FLAVORS
 from repro.experiments.report import format_pct, format_series, render_table
+from repro.hardware.specs import R630
 from repro.obs.tracer import MetricTracer
-from repro.workloads.antagonists import FioRandomRead
+from repro.virt.vm import Priority
+from repro.workloads.antagonists import ANTAGONISTS, FioRandomRead
 
 
 # --------------------------------------------------------------------- report
@@ -52,6 +56,23 @@ def test_build_testbed_shapes():
     assert hosts.count("server00") == 3 and hosts.count("server01") == 2
 
 
+def test_host_specs_go_to_hosts_by_index():
+    fast = replace(R630, speed_factor=2.0)
+    tb = build_testbed(TestbedConfig(seed=1, num_hosts=3, host_specs=[R630, fast]))
+    specs = [tb.cluster.hosts[f"server{i:02d}"].spec for i in range(3)]
+    assert specs == [R630, fast, R630]
+
+
+def test_placement_follows_host_index_past_100_hosts():
+    """``server100`` sorts before ``server11`` by name; round-robin
+    placement must follow host index instead."""
+    tb = build_testbed(TestbedConfig(seed=1, num_hosts=101, num_workers=12,
+                                     antagonists=(("fio", 11),)))
+    assert [w.host_name for w in tb.workers] \
+        == [f"server{i:02d}" for i in range(12)]
+    assert tb.antagonist_vms["fio"].host_name == "server11"
+
+
 def test_build_testbed_duplicate_antagonist_kinds_get_suffixes():
     tb = build_testbed(TestbedConfig(
         seed=1, antagonists=(("oltp", None), ("oltp", None)),
@@ -63,6 +84,8 @@ def test_testbed_validation():
     with pytest.raises(ValueError):
         TestbedConfig(num_hosts=0)
     with pytest.raises(ValueError):
+        TestbedConfig(num_hosts=1, host_specs=[R630, R630])
+    with pytest.raises(ValueError):
         build_testbed(TestbedConfig(framework="flink"))
     with pytest.raises(KeyError):
         make_antagonist("nope")
@@ -71,6 +94,40 @@ def test_testbed_validation():
 def test_make_antagonist_registry():
     assert isinstance(make_antagonist("fio"), FioRandomRead)
     assert make_antagonist("fio-episodic").on_s is not None
+    # Keyword params override the kind's defaults and keep the rest.
+    tuned = make_antagonist("fio-episodic", on_s=5.0, iops_demand=100.0)
+    assert (tuned.on_s, tuned.off_s, tuned.iops_demand) == (5.0, 20.0, 100.0)
+
+
+def test_every_antagonist_kind_boots_alike_in_testbeds_and_worlds():
+    """A testbed and a scenario world boot each registry kind with the
+    same flavor, LOW priority and driver type."""
+    from repro.scenarios.spec import AntagonistDef, JobDef, PolicyDef, \
+        WorkloadDef, WorldDef
+    from repro.scenarios.world import execute_world
+
+    kinds = sorted(ANTAGONISTS)
+    tb = build_testbed(TestbedConfig(
+        seed=1, num_hosts=len(kinds), num_workers=1,
+        antagonists=tuple((k, i) for i, k in enumerate(kinds)),
+    ))
+    run = execute_world(WorldDef(
+        seed=1, horizon=1.0, cooldown_s=0.0,
+        hosts=(WorldDef().hosts[0],) * len(kinds),
+        workload=WorkloadDef(workers=1, jobs=(
+            JobDef(kind="mapreduce", benchmark="grep", size_mb=64.0),)),
+        antagonists=tuple(AntagonistDef(kind=k, host=i)
+                          for i, k in enumerate(kinds)),
+        policy=PolicyDef(kind="none"),
+    ))
+    for kind in kinds:
+        flavor = FLAVORS[ANTAGONISTS[kind][0]]
+        for testbed in (tb, run.testbed):
+            vm = testbed.antagonist_vms[kind]
+            assert (vm.vcpus, vm.mem_gb) == (flavor.vcpus, flavor.mem_gb)
+            assert vm.priority is Priority.LOW
+        assert type(tb.antagonist_drivers[kind]) \
+            is type(run.testbed.antagonist_drivers[kind])
 
 
 def test_node_manager_accessor_requires_deployment():

@@ -210,3 +210,17 @@ def test_serialize_emits_normal_form():
     text = serialize_scenario(spec)
     assert parse_scenario(text) == spec
     assert scenario_hash(parse_scenario(text)) == scenario_hash(spec)
+
+
+def test_chaos_world_round_trips_through_the_dsl():
+    """``repro chaos``'s world is a plain WorldDef: it survives the
+    normal form and its YAML unchanged, so it can join the corpus."""
+    from repro.experiments.chaos import ChaosScenario
+    from repro.scenarios.spec import Expectation, ScenarioSpec
+
+    spec = ScenarioSpec(
+        name="chaos", world=ChaosScenario().world(),
+        expect=(Expectation(metric="survived", op="==", value=True),),
+    )
+    assert ScenarioSpec.from_dict(spec.to_dict()) == spec
+    assert parse_scenario(serialize_scenario(spec)) == spec
